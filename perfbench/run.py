@@ -13,17 +13,19 @@ Workloads (op plans in ``workloads.py``):
 - ``sweep``: one op is one in-process ``necoh.cli.main(["sweep", ...])``
   with three grid points and ``--output``;
 - ``cli-rates``: one op is one fresh ``python -m necoh rates ...`` process;
-  rounds of three valid requests and two malformed ones;
+  rounds of seven valid requests, one non-finite request and one other
+  malformed request;
 - ``displacement``: one op is one in-process ``gamma_displacement`` library
   call or one in-process ``reproduce --table 1``.
 
 Every run first times ``SETUP_SAMPLES`` fresh interpreters from start
 through ``import necoh.cli`` and the workload's lazy set-up (``setup_s`` is
 their median). ``--trace 0`` then runs ops for ``--seconds`` seconds (whole
-rounds) and reports the end-to-end metrics. Every time it reports is scaled
-to a reference host speed by calibration bursts that this process takes
-between the ops of the same run (``calib.py``); the raw figures go to
-standard error. ``--trace 1`` runs a fixed set of
+rounds) and reports the end-to-end metrics. The time metrics cover the
+well-formed requests only; ``ok_ratio`` covers every op. ``op_tail_s`` is
+the highest percentile with ``TAIL_BEYOND`` samples above it, or the middle
+sample (the upper one of an even count) when a run has too few ops for that
+(``sweep`` and ``cli-rates``); the percentile used goes to standard error. ``--trace 1`` runs a fixed set of
 ops (``workloads.TRACE_OPS``), each once untraced and once traced, so its
 counts repeat exactly for a seed, and reports the per-layer metrics; the
 spans are written to ``.perfbench_run/``.
@@ -46,14 +48,13 @@ sys.path.insert(0, HERE)
 
 import check  # noqa: E402
 import loops  # noqa: E402
-from calib import Calibrator  # noqa: E402
 import workloads  # noqa: E402
 from tracer import aggregate  # noqa: E402
 
-SETUP_SAMPLES = 5
-SETUP_CALIBRATION_SAMPLES = 10
+SETUP_SAMPLES = 9
 IMPORTTIME_SAMPLES = 3
 OP_TIMEOUT_S = 90.0
+WORKER_GRACE_S = 120.0  # worker time allowed beyond --seconds
 TAIL_BEYOND = 10  # samples above the reported tail percentile
 RUN_DIR = ".perfbench_run"
 WORKER = os.path.join(HERE, "worker.py")
@@ -99,15 +100,7 @@ def _probe(workload: str, env: dict) -> float:
 
 
 def setup_time(workload: str, env: dict) -> float:
-    """Median probe time, scaled by calibration bursts between the probes."""
-    cal = Calibrator()
-    times = []
-    for _ in range(SETUP_SAMPLES):
-        cal.sample(SETUP_CALIBRATION_SAMPLES)
-        times.append(_probe(workload, env))
-    cal.sample(SETUP_CALIBRATION_SAMPLES)
-    note(f"raw setup_s {statistics.median(times):.6g}")
-    return statistics.median(times) * cal.scales()[0]
+    return statistics.median(_probe(workload, env) for _ in range(SETUP_SAMPLES))
 
 
 def _importtime(env: dict) -> dict[str, float]:
@@ -167,10 +160,8 @@ def cli_rates(args, env: dict, root: str, refs) -> dict:
     execute = lambda op: _run_proc([sys.executable, "-m", "necoh", *op["argv"]],  # noqa: E731
                                    env, root)
     if not args.trace:
-        cal = Calibrator()
-        data = loops.timed("cli-rates", args.seed, args.seconds, execute, refs, cal.keep_up)
+        data = loops.timed("cli-rates", args.seed, args.seconds, execute, refs)
         data["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        data["scales"] = cal.scales()
         return data
     dumps = []
     spans_path = os.path.join(root, RUN_DIR, "child-spans.json")
@@ -190,32 +181,18 @@ def cli_rates(args, env: dict, root: str, refs) -> dict:
 
 
 def in_worker(args, env: dict, root: str) -> dict:
-    """sweep and displacement: ops run inside one worker process.
-
-    A timed worker stops before each op until this process has taken its
-    calibration burst, so the bursts run here, on the same timeline.
-    """
+    """sweep and displacement: ops run inside one worker process."""
     out_path = os.path.join(root, RUN_DIR, f"worker-{args.workload}-{os.getpid()}.json")
     cmd = [sys.executable, WORKER, "run", "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--out", out_path]
-    cal = Calibrator()
-    with subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, env=env, cwd=root) as proc:
-        for line in proc.stdout:
-            if line.startswith("calibrate "):
-                cal.keep_up(float(line.split()[1]))
-                proc.stdin.write("go\n")
-                proc.stdin.flush()
-        err = proc.stderr.read()
-        rc = proc.wait(timeout=OP_TIMEOUT_S)
-    if rc != 0:
-        raise RuntimeError(f"worker exited {rc}:\n{err}")
+    res = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=root,
+                         timeout=args.seconds + WORKER_GRACE_S)
+    if res.returncode != 0:
+        raise RuntimeError(f"worker exited {res.returncode}:\n{res.stderr}")
     with open(out_path, encoding="utf-8") as fh:
         data = json.load(fh)
     os.remove(out_path)
-    if not args.trace:
-        data["scales"] = cal.scales()
     return data
 
 
@@ -228,25 +205,18 @@ def tail(walls: list[float]) -> tuple[float, float]:
 
 
 def end_to_end(data: dict, setup_s: float) -> dict[str, float]:
-    """End-to-end metrics; times scaled by the run's calibration (calib.py)."""
-    wall_scale, cpu_scale = data["scales"]
-    raw_walls = [w for w, _, _ in data["ops"]]
-    raw_cpus = [c for _, c, _ in data["ops"]]
-    note(f"calibration scales: wall {wall_scale:.4f}, cpu {cpu_scale:.4f}; raw op_p50_s "
-         f"{statistics.median(raw_walls):.6g}, raw op_cpu_s {statistics.median(raw_cpus):.6g}")
-    walls = [w * wall_scale for w in raw_walls]
-    cpus = [c * cpu_scale for c in raw_cpus]
-    failed = sum(1 for _, _, s in data["ops"] if s != "ok")
+    walls = [w for w, _, _, timed in data["ops"] if timed]
+    cpus = [c for _, c, _, timed in data["ops"] if timed]
+    failed = sum(1 for _, _, s, _ in data["ops"] if s != "ok")
     tail_s, pct = tail(walls)
-    note(f"{len(walls)} ops; op_tail_s is p{pct:.2f} ({len(walls)} samples, "
-         f"{TAIL_BEYOND} beyond it unless that falls below the median)")
+    note(f"{len(data['ops'])} ops, {len(walls)} well-formed; op_tail_s is p{pct:.2f}")
     return {
         "setup_s": setup_s,
         "ops_per_s": len(walls) / sum(walls),
         "op_p50_s": statistics.median(walls),
         "op_tail_s": tail_s,
         "op_cpu_s": statistics.median(cpus),
-        "ok_ratio": (len(walls) - failed) / len(walls),
+        "ok_ratio": 1.0 - failed / len(data["ops"]),
         "peak_rss_mib": data["peak_rss_kib"] / 1024.0,
     }
 
@@ -304,7 +274,7 @@ def main() -> int:
         return 1
     for line in data["notes"][:20]:
         note(line)
-    statuses = [s for _, _, s in data["ops"]]
+    statuses = [s for _, _, s, _ in data["ops"]]
     result = {
         "correct": "wrong" not in statuses,
         "attempted": len(statuses),

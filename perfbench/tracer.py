@@ -13,8 +13,9 @@ A span is ``[name, start, end, parent, op]``; spans stay in memory until
 oscillatory evaluations by wrapping the envelope handed to
 ``integrate_oscillatory_batch``.
 
-A layer that a later version of necoh no longer has is skipped, and its
-metrics read 0.
+A boundary function that necoh no longer has, or a rate call whose
+arguments no longer bind to its signature, raises: a broken trace fails
+instead of reading 0.
 """
 from __future__ import annotations
 
@@ -93,8 +94,7 @@ class Tracer:
 
     def _adaptive(self, name: str, fn):
         counts = self.counts
-        error_type = getattr(importlib.import_module("necoh.numerics"),
-                             "ConvergenceError", ())
+        error_type = importlib.import_module("necoh.numerics").ConvergenceError
         span = self._span(name, fn)
 
         def counted(f):
@@ -130,27 +130,20 @@ class Tracer:
         return wrapper
 
     def _rate_hook(self, name: str, fn):
-        """Record err/(rel_tol |gamma|) and |gamma - reference| / err.
-
-        Calls whose signature no longer fits are left unsampled.
-        """
+        """Record err/(rel_tol |gamma|) and |gamma - reference| / err."""
         sig = inspect.signature(fn)
         layer = name.split(".")[0]
-        material = sig.parameters.get("material")
-        default_material = material.default if material is not None else None
+        default_material = sig.parameters["material"].default
 
         def hook(args, kwargs, result):
-            try:
-                bound = sig.bind(*args, **kwargs)
-                bound.apply_defaults()
-                gamma, err = result
-                spec = bound.arguments["spec"]
-                trap = bound.arguments["trap"]
-                custom = (bound.arguments.get("state") is not None
-                          or bound.arguments.get("material") is not default_material)
-                mode = getattr(bound.arguments.get("mode"), "value", "")
-            except (TypeError, KeyError, ValueError):
-                return
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            gamma, err = result
+            spec = bound.arguments["spec"]
+            trap = bound.arguments["trap"]
+            custom = (bound.arguments["state"] is not None
+                      or bound.arguments["material"] is not default_material)
+            mode = bound.arguments["mode"].value if "mode" in bound.arguments else ""
             if gamma != 0.0:
                 self.samples[f"{layer}.err_over_tol"].append(err / (spec.rel_tol * abs(gamma)))
             if self.refs is None or custom or err <= 0.0:
@@ -174,12 +167,10 @@ class Tracer:
     def install(self) -> None:
         modules = [importlib.import_module(m) for m in IMPORTERS]
         cli = modules[0]
-        targets = [(n, getattr(importlib.import_module(m), a, None)) for n, m, a in TARGETS]
+        targets = [(n, getattr(importlib.import_module(m), a)) for n, m, a in TARGETS]
         targets += [("cli.render", fn) for attr, fn in vars(cli).items()
                     if attr.startswith("render_") and callable(fn)]
         for name, orig in targets:
-            if orig is None:
-                continue
             wrapper = self._wrapper_for(name, orig)
             for mod in modules:
                 for attr, val in list(vars(mod).items()):

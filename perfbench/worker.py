@@ -4,9 +4,7 @@
         import necoh.cli, do the workload's lazy set-up, print "ready", exit
     python perfbench/worker.py run --workload W --seed N --seconds S --trace T --out FILE
         the same set-up, print "ready", then run the workload's ops in this
-        process (``sweep`` and ``displacement``) and write the results to FILE;
-        before each op it prints "calibrate ELAPSED" and waits for a line on
-        stdin while run.py takes a calibration burst
+        process (``sweep`` and ``displacement``) and write the results to FILE
     python perfbench/worker.py bootstrap FILE N ARGV...
         install the tracer, call necoh.cli.main(ARGV), write the spans to
         FILE and exit with main's code (the traced ``cli-rates`` child)
@@ -83,12 +81,6 @@ def _traced_executor(tracer, mods):
     return execute_traced
 
 
-def _ask_for_calibration(elapsed: float) -> None:
-    """Let run.py take its calibration burst while this process waits."""
-    print(f"calibrate {elapsed}", flush=True)
-    sys.stdin.readline()
-
-
 def _bootstrap(spans_path: str, op_id: int, argv: list[str]) -> int:
     import check
     import necoh.cli
@@ -134,8 +126,7 @@ def main() -> int:
                               _traced_executor(tracer, mods), refs)
         result["dumps"] = [tracer.dump()]
     else:
-        result = loops.timed(args.workload, args.seed, args.seconds, execute, refs,
-                             _ask_for_calibration)
+        result = loops.timed(args.workload, args.seed, args.seconds, execute, refs)
     result["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh)

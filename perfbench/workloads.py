@@ -52,11 +52,13 @@ OUT_OF_DOMAIN = (
     ("--cavity", "g=5,kappa=0.5,detuning=500,q=3"),
 )
 
-CLI_VALID_PER_ROUND = 6
+# a cli-rates round: this many valid requests, one drawn from each slice of
+# the band, plus one non-finite and one out-of-domain request
+CLI_VALID_PER_ROUND = 7
 SWEEP_POINTS = 3
-# sweep op index that repeats op 0 to check byte-identical CSV; the second
-# op, so that every run makes the check however slow the host
-SWEEP_REPEAT_AT = 1
+# workloads whose first op is run once more after the timed loop, untimed,
+# to check that repeating it gives byte-identical output
+REPEATED = ("sweep",)
 DISPLACEMENT_ROUND = {"lib-approx": 14, "lib-exact": 4,
                       "reproduce-approx": 1, "reproduce-exact": 1}
 
@@ -108,15 +110,18 @@ def _malformed_op(rng: random.Random, bad: tuple[str, str]) -> dict:
     return {"kind": "proc", "check": "usage", "argv": argv}
 
 
-def _cli_rates_rounds(rng: random.Random):
+def _cli_rates_rounds(rng: random.Random, seed: int):
     # valid requests one from each slice of the band (cost rises with f0),
-    # every non-finite request and one other malformed request
+    # one non-finite request (each in turn, starting at a seed-fixed one)
+    # and one other malformed request
+    k = seed
     while True:
         ops = [_rates_op(rng, f0) for f0 in _stratified(rng, CLI_F0, CLI_VALID_PER_ROUND)]
-        ops += [_malformed_op(rng, bad) for bad in NON_FINITE]
+        ops.append(_malformed_op(rng, NON_FINITE[k % len(NON_FINITE)]))
         ops.append(_malformed_op(rng, rng.choice(OUT_OF_DOMAIN)))
         rng.shuffle(ops)
         yield ops
+        k += 1
 
 
 def _sweep_op(rng: random.Random, fmt: str, out_name: str) -> dict:
@@ -134,15 +139,11 @@ def _sweep_op(rng: random.Random, fmt: str, out_name: str) -> dict:
 
 
 def _sweep_rounds(rng: random.Random):
-    first = _sweep_op(rng, "csv", "sweep-0.csv")
-    yield [first]
-    k = 1
+    k = 0
     while True:
-        if k == SWEEP_REPEAT_AT:
-            yield [dict(first, repeat_of=0)]
-        else:
-            fmt = rng.choice(FORMATS)
-            yield [_sweep_op(rng, fmt, f"sweep-{k}.{'txt' if fmt == 'table' else fmt}")]
+        # the first op is the one repeated (REPEATED): CSV, as users diff it
+        fmt = "csv" if k == 0 else rng.choice(FORMATS)
+        yield [_sweep_op(rng, fmt, f"sweep-{k}.{'txt' if fmt == 'table' else fmt}")]
         k += 1
 
 
@@ -173,7 +174,7 @@ def rounds(workload: str, seed: int):
     if workload == "sweep":
         return _sweep_rounds(rng)
     if workload == "cli-rates":
-        return _cli_rates_rounds(rng)
+        return _cli_rates_rounds(rng, seed)
     if workload == "displacement":
         return _displacement_rounds(rng)
     raise ValueError(f"unknown workload {workload!r}")
