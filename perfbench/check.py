@@ -6,8 +6,9 @@ Every check returns one of three statuses:
   spec promises (plus the rounding of the printed digits);
 - ``"failed"``: the op missed its contract (a malformed request not refused
   with exit code 2, a valid request refused, or a value outside its spec but
-  within ``GROSS_REL``). Counted in ``failed``; known defects of necoh land
-  here and stay visible;
+  within ``GROSS_REL``). Counted in ``failed``. The workloads hold no
+  request that fails on the current code; the known defects are probed
+  apart (``spec_misses`` here, ``run.known_defects``);
 - ``"wrong"``: necoh reported success with wrong content (a value off by
   more than ``GROSS_REL``, unparsable output, a repeated sweep that is not
   byte-identical). Also counted in ``failed``, and the run is not correct.
@@ -22,7 +23,7 @@ import json
 import math
 import os
 
-from workloads import CLI_REL_TOL, LIB_REL_TOL, TABLE1_F0
+from workloads import CLI_REL_TOL, LIB_REL_TOL, SPEC_PROBE_F0, SPEC_REL_TOL, TABLE1_F0
 
 GROSS_REL = 1e-6
 REFS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "refs.json")
@@ -188,7 +189,13 @@ def check_library(op: dict, value: tuple[float, float], refs: Refs) -> tuple[str
     if not (math.isfinite(err) and err >= 0.0):
         return "wrong", f"error estimate {err}"
     worst = _rel(gamma, refs.library[op["f0"]][f"displacement_{op['kernel']}"])
-    return _judge(worst, LIB_REL_TOL), f"rel error {worst:.2e}"
+    return _judge(worst, SPEC_REL_TOL[op["spec"]]), f"rel error {worst:.2e}"
+
+
+def spec_misses(gammas: list[float], refs: Refs) -> int:
+    """How many exact-kernel rates at ``SPEC_PROBE_F0`` miss the library spec."""
+    return sum(_rel(gamma, refs.library[f0]["displacement_exact"]) > LIB_REL_TOL
+               for f0, gamma in zip(SPEC_PROBE_F0, gammas, strict=True))
 
 
 def check(op: dict, rc: int, output, refs: Refs) -> tuple[str, str]:

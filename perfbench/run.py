@@ -13,8 +13,7 @@ Workloads (op plans in ``workloads.py``):
 - ``sweep``: one op is one in-process ``necoh.cli.main(["sweep", ...])``
   with three grid points and ``--output``;
 - ``cli-rates``: one op is one fresh ``python -m necoh rates ...`` process;
-  rounds of seven valid requests, one non-finite request and one other
-  malformed request;
+  rounds of seven valid requests and one malformed request;
 - ``displacement``: one op is one in-process ``gamma_displacement`` library
   call or one in-process ``reproduce --table 1``.
 
@@ -22,13 +21,17 @@ Every run first times ``SETUP_SAMPLES`` fresh interpreters from start
 through ``import necoh.cli`` and the workload's lazy set-up (``setup_s`` is
 their median). ``--trace 0`` then runs ops for ``--seconds`` seconds (whole
 rounds) and reports the end-to-end metrics. The time metrics cover the
-well-formed requests only; ``ok_ratio`` covers every op. ``op_tail_s`` is
-the highest percentile with ``TAIL_BEYOND`` samples above it, or the middle
-sample (the upper one of an even count) when a run has too few ops for that
-(``sweep`` and ``cli-rates``); the percentile used goes to standard error. ``--trace 1`` runs a fixed set of
-ops (``workloads.TRACE_OPS``), each once untraced and once traced, so its
-counts repeat exactly for a seed, and reports the per-layer metrics; the
-spans are written to ``.perfbench_run/``.
+well-formed requests only; ``ok_ratio`` covers every op. No op of a
+workload fails on the current code. ``op_tail_s`` is the highest percentile
+with ``TAIL_BEYOND`` samples above it, or the middle sample (the upper one
+of an even count) when a run has too few ops for that (``sweep`` and
+``cli-rates``); the percentile used goes to standard error.
+
+``--trace 1`` runs a fixed set of ops (``workloads.TRACE_OPS``), each once
+untraced and once traced, so its counts repeat exactly for a seed, and
+reports the per-layer metrics; the spans are written to ``.perfbench_run/``.
+Every traced run also probes necoh's known defects, apart from its ops
+(``known_defects``).
 
 Exit code 0 with a result; 1 without one (necoh missing, a worker crashed).
 """
@@ -221,9 +224,25 @@ def end_to_end(data: dict, setup_s: float) -> dict[str, float]:
     }
 
 
-def per_layer(data: dict, env: dict, root: str, args) -> dict[str, float]:
+def known_defects(env: dict, root: str, refs: check.Refs) -> dict[str, int]:
+    """Counts of the known defects probed in ``workloads``: each falls to 0
+    when the defect is fixed."""
+    not_refused = 0
+    for flag, value in workloads.NON_FINITE:
+        argv = [sys.executable, "-m", "necoh", "rates", f"{flag}={value}"]
+        not_refused += _run_proc(argv, env, root)[2] != 2
+    res = subprocess.run([sys.executable, WORKER, "spec-probe"], capture_output=True,
+                         text=True, env=env, cwd=root, timeout=OP_TIMEOUT_S)
+    if res.returncode != 0:
+        raise RuntimeError(f"spec probe exited {res.returncode}:\n{res.stderr}")
+    return {"cli.non_finite_not_refused": not_refused,
+            "displacement.lib_spec_misses": check.spec_misses(json.loads(res.stdout), refs)}
+
+
+def per_layer(data: dict, env: dict, root: str, args, refs: check.Refs) -> dict[str, float]:
     metrics = aggregate(data["dumps"])
     metrics.update(setup_layers(env))
+    metrics.update(known_defects(env, root, refs))
     untraced = sum(u for u, _ in data["pairs"])
     traced = sum(t for _, t in data["pairs"])
     metrics["trace.overhead_ratio"] = traced / untraced
@@ -262,7 +281,7 @@ def main() -> int:
         else:
             data = in_worker(args, env, root)
         if args.trace:
-            metrics = per_layer(data, env, root, args)
+            metrics = per_layer(data, env, root, args, refs)
         else:
             metrics = end_to_end(data, setup_s)
         units = declared_units(args.trace)

@@ -5,6 +5,9 @@
     python perfbench/worker.py run --workload W --seed N --seconds S --trace T --out FILE
         the same set-up, print "ready", then run the workload's ops in this
         process (``sweep`` and ``displacement``) and write the results to FILE
+    python perfbench/worker.py spec-probe
+        print, as JSON, the exact-kernel displacement rates at the library
+        default spec for ``workloads.SPEC_PROBE_F0``
     python perfbench/worker.py bootstrap FILE N ARGV...
         install the tracer, call necoh.cli.main(ARGV), write the spans to
         FILE and exit with main's code (the traced ``cli-rates`` child)
@@ -51,7 +54,8 @@ def _execute(op: dict, mods) -> tuple[float, float, int, object, int]:
     t0, c0 = time.perf_counter(), time.process_time()
     if op["kind"] == "lib":
         trap = surface.LateralTrap.isotropic_ghz(float(op["f0"]))
-        output = dis.gamma_displacement(trap, mode=dis.KernelMode(op["kernel"]))
+        spec = cli.CLI_SPEC if op["spec"] == "cli" else dis.DEFAULT_SPEC
+        output = dis.gamma_displacement(trap, mode=dis.KernelMode(op["kernel"]), spec=spec)
         rc = 0
     else:
         with redirect_stdout(out), redirect_stderr(err):
@@ -97,7 +101,20 @@ def _bootstrap(spans_path: str, op_id: int, argv: list[str]) -> int:
             json.dump(tracer.dump(), fh)
 
 
+def _spec_probe() -> int:
+    import necoh.displacement as dis
+    import necoh.surface as surface
+    from workloads import SPEC_PROBE_F0
+
+    print(json.dumps([dis.gamma_displacement(surface.LateralTrap.isotropic_ghz(float(f0)),
+                                             mode=dis.KernelMode.EXACT)[0]
+                      for f0 in SPEC_PROBE_F0]))
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["spec-probe"]:
+        return _spec_probe()
     if sys.argv[1:2] == ["bootstrap"]:
         spans_path, op_id, *argv = sys.argv[2:]
         return _bootstrap(spans_path, int(op_id), argv)
