@@ -10,25 +10,25 @@ Three subcommands:
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit command line flags win over the file. Exit codes: 0 success, 1 a
 channel computation or a reproduction comparison failed, 2 usage or config
-errors.
+errors, non-finite numbers (nan, inf) included.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .displacement import KernelMode, gamma_displacement
-from .modulation import gamma_modulation
+from .displacement import KernelMode
 from .numerics import ConvergenceError, QuadratureSpec
 from .photon import CavityParams
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
-from .report import CHANNEL_CAVITY, CoherenceReport, build_report
+from .report import (CHANNEL_CAVITY, CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, PHONON_RATES,
+                     ChannelRate, CoherenceReport, build_report, sweep)
 from .surface import LateralTrap
 
 ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
@@ -40,21 +40,12 @@ CLI_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=0.0, max_subdivisions=400)
 _FORMATS = ("table", "csv", "json")
 _KERNELS = tuple(m.value for m in KernelMode)
 
-# config keys with their parsers; mirrors the CLI flags
-_CONFIG_SCHEMA = {
-    "f0_ghz": float,
-    "format": str,
-    "kernel": str,
-    "temperature_mk": float,
-    "cavity": str,
-    "from_ghz": float,
-    "to_ghz": float,
-    "points": int,
-    "tol": float,
-    "table": int,
-    "output": str,
-    "output_dir": str,
-}
+# reference table number -> the phonon channel it lists and its rows
+_REFERENCE_TABLES = {1: (CHANNEL_DISPLACEMENT, DISPLACEMENT_TABLE),
+                     2: (CHANNEL_MODULATION, MODULATION_TABLE)}
+# flags of the RunConfig fields that must hold finite numbers
+_FINITE_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk",
+                 "from_ghz": "from", "to_ghz": "to", "tol": "tol"}
 
 
 class ConfigError(Exception):
@@ -83,6 +74,9 @@ class RunConfig:
     output_dir: str | None = None
 
     def validate(self) -> None:
+        for key, flag in _FINITE_FLAGS.items():
+            if not math.isfinite(getattr(self, key)):
+                raise UsageError(f"{flag} must be finite: got {getattr(self, key)!r}")
         if self.format not in _FORMATS:
             raise UsageError(f"format must be one of {', '.join(_FORMATS)}: got {self.format!r}")
         if self.kernel not in _KERNELS:
@@ -99,8 +93,14 @@ class RunConfig:
             raise UsageError("sweep frequencies must be positive")
         if not 0.0 < self.tol < 1.0:
             raise UsageError("tol must be in (0, 1)")
-        if self.table not in (1, 2):
+        if self.table not in _REFERENCE_TABLES:
             raise UsageError("table must be 1 or 2")
+
+
+# config keys with their parsers, one per RunConfig field; the annotations are
+# strings here, and every field that is neither float nor int holds a string
+_CONFIG_SCHEMA = {f.name: {"float": float, "int": int}.get(f.type, str)
+                  for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -124,9 +124,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        caster = _CONFIG_SCHEMA[key]
         try:
-            values[key] = caster(val)
+            values[key] = _CONFIG_SCHEMA[key](val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r}", line=lineno) from exc
     return values
@@ -138,7 +137,7 @@ _UNIT_HZ = {"ghz": 1e3, "mhz": 1.0, "khz": 1e-3, "hz": 1e-6}
 
 def parse_cavity(spec: str) -> CavityParams:
     """Parse 'g=5MHz,kappa=0.5MHz,detuning=500MHz' into CavityParams."""
-    fields: dict = {}
+    values: dict = {}
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -149,7 +148,7 @@ def parse_cavity(spec: str) -> CavityParams:
         name = name.strip().lower()
         if name not in ("g", "kappa", "detuning"):
             raise UsageError(f"unknown cavity field {name!r}")
-        if name in fields:
+        if name in values:
             raise UsageError(f"duplicate cavity field {name!r}")
         val = val.strip().lower()
         scale = 1.0  # bare numbers are MHz
@@ -159,14 +158,14 @@ def parse_cavity(spec: str) -> CavityParams:
                 scale = s
                 break
         try:
-            fields[name] = float(val) * scale
+            values[name] = float(val) * scale
         except ValueError as exc:
             raise UsageError(f"bad cavity value {part!r}") from exc
-    missing = {"g", "kappa", "detuning"} - set(fields)
+    missing = {"g", "kappa", "detuning"} - set(values)
     if missing:
         raise UsageError(f"cavity spec missing {', '.join(sorted(missing))}")
     try:
-        return CavityParams.from_mhz(fields["g"], fields["kappa"], fields["detuning"])
+        return CavityParams.from_mhz(values["g"], values["kappa"], values["detuning"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -178,107 +177,64 @@ def _build_parser() -> argparse.ArgumentParser:
                     "motional states on solid neon.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--format", choices=_FORMATS, default=None,
-                       help="output format (default table)")
-        p.add_argument("--kernel", choices=_KERNELS, default=None,
+        p.add_argument("--format", choices=_FORMATS, help="output format (default table)")
+        p.add_argument("--kernel", choices=_KERNELS,
                        help="displacement vertical kernel (default approx)")
-        p.add_argument("--temperature-mk", type=float, default=None,
-                       help="bath temperature in mK (default 10)")
-        p.add_argument("--cavity", default=None,
+        p.add_argument("--temperature-mk", type=float, help="bath temperature in mK (default 10)")
+        p.add_argument("--cavity",
                        help="cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz")
+        return p
 
-    p_rates = sub.add_parser("rates", help="all channels at one frequency")
-    common(p_rates)
-    p_rates.add_argument("--f0-ghz", type=float, default=None,
-                         help="trap frequency in GHz (default 6.4)")
+    p_rates = command("rates", "all channels at one frequency")
+    p_rates.add_argument("--f0-ghz", type=float, help="trap frequency in GHz (default 6.4)")
 
-    p_sweep = sub.add_parser("sweep", help="channels over a frequency grid")
-    common(p_sweep)
-    p_sweep.add_argument("--from", dest="from_ghz", type=float, default=None,
+    p_sweep = command("sweep", "channels over a frequency grid")
+    p_sweep.add_argument("--from", dest="from_ghz", type=float,
                          help="grid start in GHz (default 1)")
-    p_sweep.add_argument("--to", dest="to_ghz", type=float, default=None,
-                         help="grid end in GHz (default 10)")
-    p_sweep.add_argument("--points", type=int, default=None,
-                         help="number of grid points (default 10)")
-    p_sweep.add_argument("--output", default=None,
+    p_sweep.add_argument("--to", dest="to_ghz", type=float, help="grid end in GHz (default 10)")
+    p_sweep.add_argument("--points", type=int, help="number of grid points (default 10)")
+    p_sweep.add_argument("--output",
                          help="write to this file instead of stdout "
                               f"(relative paths resolve under ${ENV_OUTPUT_DIR} if set)")
 
-    p_rep = sub.add_parser("reproduce", help="recompute a bundled reference table")
-    common(p_rep)
-    p_rep.add_argument("--table", type=int, choices=(1, 2), default=None,
+    p_rep = command("reproduce", "recompute a bundled reference table")
+    p_rep.add_argument("--table", type=int, choices=tuple(_REFERENCE_TABLES),
                        help="1 = displacement lifetimes, 2 = modulation lifetimes")
-    p_rep.add_argument("--tol", type=float, default=None,
-                       help="per-row relative tolerance (default 0.03)")
+    p_rep.add_argument("--tol", type=float, help="per-row relative tolerance (default 0.03)")
 
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in parse_config_file(args.config).items():
-            setattr(cfg, key, val)
+    values = parse_config_file(args.config) if args.config else {}
     for key in _CONFIG_SCHEMA:
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.8e}"
+_fmt9 = "{:.8e}".format
+_fmt13 = "{:.12e}".format
 
 
-def _fmt13(x: float) -> str:
-    return f"{x:.12e}"
+# one row per channel: its rate and lifetimes, keyed as in `rates` output; a
+# sweep spreads the same three numbers over columns "<quantity>_<channel tag>"
+_RATE_KEYS = ("gamma_per_s", "t1_s", "t2_s")
+_SWEEP_QUANTITIES = ("gamma", "t1", "t2")
+_SWEEP_TAGS = {"vacuum": "vac", "displacement": "dis", "modulation": "mod", "cavity": "cav"}
 
 
-def _report_row_values(rep: CoherenceReport, with_cavity: bool) -> list[float]:
-    names = ["vacuum", "displacement", "modulation"] + (["cavity"] if with_cavity else [])
-    vals: list[float] = [rep.f0_ghz]
-    for name in names:
-        ch = rep.channel(name)
-        vals.extend((ch.gamma, ch.t1, ch.t2))
-    return vals
+def _channel_row(ch: ChannelRate) -> tuple[float, float, float]:
+    return ch.gamma, ch.t1, ch.t2
 
 
-_SWEEP_COLUMNS = ("f0_ghz",
-                  "gamma_vac", "t1_vac", "t2_vac",
-                  "gamma_dis", "t1_dis", "t2_dis",
-                  "gamma_mod", "t1_mod", "t2_mod")
-_CAVITY_COLUMNS = ("gamma_cav", "t1_cav", "t2_cav")
-
-
-def render_sweep_csv(reports: list[CoherenceReport], with_cavity: bool) -> str:
-    cols = _SWEEP_COLUMNS + (_CAVITY_COLUMNS if with_cavity else ())
-    out = io.StringIO()
-    out.write(",".join(cols) + "\r\n")
-    for rep in reports:
-        out.write(",".join(_fmt13(v) for v in _report_row_values(rep, with_cavity)) + "\r\n")
-    return out.getvalue()
-
-
-def render_sweep_json(reports: list[CoherenceReport], with_cavity: bool) -> str:
-    cols = _SWEEP_COLUMNS + (_CAVITY_COLUMNS if with_cavity else ())
-    rows = []
-    for rep in reports:
-        vals = _report_row_values(rep, with_cavity)
-        rows.append({c: float(_fmt13(v)) for c, v in zip(cols, vals)})
-    return json.dumps({"rows": rows}, indent=2) + "\n"
-
-
-def render_sweep_table(reports: list[CoherenceReport], with_cavity: bool) -> str:
-    cols = _SWEEP_COLUMNS + (_CAVITY_COLUMNS if with_cavity else ())
-    widths = [max(len(c), 15) for c in cols]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    for rep in reports:
-        vals = _report_row_values(rep, with_cavity)
-        lines.append("  ".join(_fmt9(v).ljust(w) for v, w in zip(vals, widths)))
-    return "\n".join(lines) + "\n"
+def _csv(rows: list[list[str]]) -> str:
+    return "".join(",".join(row) + "\r\n" for row in rows)
 
 
 def _cavity_note(rep: CoherenceReport) -> str | None:
@@ -291,106 +247,100 @@ def _cavity_note(rep: CoherenceReport) -> str | None:
             f"{PURCELL_T1_QUOTED / cav.t1:.1f}x above it (known discrepancy)")
 
 
-def render_rates_table(rep: CoherenceReport) -> str:
+def render_sweep(reports: list[CoherenceReport], fmt: str) -> str:
+    """One row per report; the columns follow the first report's channels."""
+    cols = ["f0_ghz"] + [f"{q}_{_SWEEP_TAGS[ch.name]}"
+                         for ch in reports[0].channels for q in _SWEEP_QUANTITIES]
+    rows = [[rep.f0_ghz] + [v for ch in rep.channels for v in _channel_row(ch)]
+            for rep in reports]
+    if fmt == "csv":
+        return _csv([cols] + [[_fmt13(v) for v in row] for row in rows])
+    if fmt == "json":
+        objs = [{c: float(_fmt13(v)) for c, v in zip(cols, row)} for row in rows]
+        return json.dumps({"rows": objs}, indent=2) + "\n"
+    widths = [max(len(c), 15) for c in cols]
+    lines = [cols] + [[_fmt9(v) for v in row] for row in rows]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n"
+                   for line in lines)
+
+
+def _rates_line(label: str, cells) -> str:
+    return f"{label:<14}" + "".join(f"{cell:>17}" for cell in cells)
+
+
+def render_rates(rep: CoherenceReport, fmt: str) -> str:
+    """Every channel of one report, plus totals and diagnostics in table/JSON."""
+    if fmt == "csv":
+        return _csv([["channel", *_RATE_KEYS]]
+                    + [[ch.name, *map(_fmt13, _channel_row(ch))] for ch in rep.channels])
+    note = _cavity_note(rep)
+    if fmt == "json":
+        obj = {
+            "f0_ghz": rep.f0_ghz,
+            "temperature_mk": rep.temperature_mk,
+            "gamma_phi_per_s": rep.gamma_phi,
+            "thermal_occupation": rep.occupation,
+            "channels": [
+                {"name": ch.name,
+                 **{k: float(_fmt13(v)) for k, v in zip(_RATE_KEYS, _channel_row(ch))}}
+                for ch in rep.channels
+            ],
+            "substrates": [
+                {"material": s.material,
+                 "phonon_wavenumber_per_m": float(_fmt13(s.phonon_wavenumber * 100.0)),
+                 "electron_wavenumber_per_m": float(_fmt13(s.electron_wavenumber * 100.0)),
+                 "wavenumber_ratio": float(_fmt13(s.wavenumber_ratio)),
+                 "suppressed": s.suppressed}
+                for s in rep.substrates
+            ],
+        }
+        if note is not None:
+            obj["notes"] = [note]
+        return json.dumps(obj, indent=2) + "\n"
     lines = [
         f"f0 = {rep.f0_ghz:g} GHz, T = {rep.temperature_mk:g} mK",
         "",
-        f"{'channel':<14}{'gamma_per_s':>17}{'t1_s':>17}{'t2_s':>17}",
+        _rates_line("channel", _RATE_KEYS),
+        *(_rates_line(ch.name, map(_fmt9, _channel_row(ch))) for ch in rep.channels),
+        _rates_line("total", map(_fmt9, (rep.total_gamma, rep.total_t1, rep.total_t2))),
+        "",
+        f"gamma_phi = {_fmt9(rep.gamma_phi)} 1/s (one-phonon dephasing)",
+        f"thermal occupation = {_fmt9(rep.occupation)}",
+        "",
+        f"{'substrate':<12}{'k_phonon_per_m':>17}{'k_electron_per_m':>18}{'ratio':>9}"
+        "  suppressed",
     ]
-    for ch in rep.channels:
-        lines.append(f"{ch.name:<14}{_fmt9(ch.gamma):>17}{_fmt9(ch.t1):>17}{_fmt9(ch.t2):>17}")
-    lines.append(f"{'total':<14}{_fmt9(rep.total_gamma):>17}{_fmt9(rep.total_t1):>17}"
-                 f"{_fmt9(rep.total_t2):>17}")
-    lines.append("")
-    lines.append(f"gamma_phi = {_fmt9(rep.gamma_phi)} 1/s (one-phonon dephasing)")
-    lines.append(f"thermal occupation = {_fmt9(rep.occupation)}")
-    lines.append("")
-    lines.append(f"{'substrate':<12}{'k_phonon_per_m':>17}{'k_electron_per_m':>18}"
-                 f"{'ratio':>9}  suppressed")
     for sub in rep.substrates:
         lines.append(f"{sub.material:<12}{_fmt9(sub.phonon_wavenumber * 100.0):>17}"
                      f"{_fmt9(sub.electron_wavenumber * 100.0):>18}"
                      f"{sub.wavenumber_ratio:>9.3f}  {'yes' if sub.suppressed else 'no'}")
-    note = _cavity_note(rep)
     if note is not None:
         lines.extend(("", note))
     return "\n".join(lines) + "\n"
 
 
-def render_rates_csv(rep: CoherenceReport) -> str:
-    out = io.StringIO()
-    out.write("channel,gamma_per_s,t1_s,t2_s\r\n")
-    for ch in rep.channels:
-        out.write(f"{ch.name},{_fmt13(ch.gamma)},{_fmt13(ch.t1)},{_fmt13(ch.t2)}\r\n")
-    return out.getvalue()
-
-
-def render_rates_json(rep: CoherenceReport) -> str:
-    obj = {
-        "f0_ghz": rep.f0_ghz,
-        "temperature_mk": rep.temperature_mk,
-        "gamma_phi_per_s": rep.gamma_phi,
-        "thermal_occupation": rep.occupation,
-        "channels": [
-            {"name": ch.name, "gamma_per_s": float(_fmt13(ch.gamma)),
-             "t1_s": float(_fmt13(ch.t1)), "t2_s": float(_fmt13(ch.t2))}
-            for ch in rep.channels
-        ],
-        "substrates": [
-            {"material": s.material,
-             "phonon_wavenumber_per_m": float(_fmt13(s.phonon_wavenumber * 100.0)),
-             "electron_wavenumber_per_m": float(_fmt13(s.electron_wavenumber * 100.0)),
-             "wavenumber_ratio": float(_fmt13(s.wavenumber_ratio)),
-             "suppressed": s.suppressed}
-            for s in rep.substrates
-        ],
-    }
-    note = _cavity_note(rep)
-    if note is not None:
-        obj["notes"] = [note]
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _resolve_output(cfg: RunConfig, name: str) -> str:
-    if os.path.isabs(name):
-        return name
-    base = cfg.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "."
-    return os.path.join(base, name)
+def _report_options(cfg: RunConfig) -> dict:
+    """build_report keyword arguments of a run; parses --cavity."""
+    cavity = parse_cavity(cfg.cavity) if cfg.cavity else None
+    return {"temperature_mk": cfg.temperature_mk, "cavity": cavity,
+            "kernel": KernelMode(cfg.kernel), "spec": CLI_SPEC}
 
 
 def cmd_rates(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    cavity = parse_cavity(cfg.cavity) if cfg.cavity else None
-    rep = build_report(cfg.f0_ghz, temperature_mk=cfg.temperature_mk,
-                       cavity=cavity, kernel=KernelMode(cfg.kernel), spec=CLI_SPEC)
-    if cfg.format == "csv":
-        out.write(render_rates_csv(rep))
-    elif cfg.format == "json":
-        out.write(render_rates_json(rep))
-    else:
-        out.write(render_rates_table(rep))
+    out.write(render_rates(build_report(cfg.f0_ghz, **_report_options(cfg)), cfg.format))
     return 0
 
 
 def cmd_sweep(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    cavity = parse_cavity(cfg.cavity) if cfg.cavity else None
-    if cfg.points == 1:
-        grid = [cfg.from_ghz]
-    else:
-        grid = list(np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points))
-    reports = [build_report(f0, temperature_mk=cfg.temperature_mk, cavity=cavity,
-                            kernel=KernelMode(cfg.kernel), spec=CLI_SPEC)
-               for f0 in grid]
-    with_cavity = cavity is not None
-    if cfg.format == "csv":
-        text = render_sweep_csv(reports, with_cavity)
-    elif cfg.format == "json":
-        text = render_sweep_json(reports, with_cavity)
-    else:
-        text = render_sweep_table(reports, with_cavity)
+    grid = ([cfg.from_ghz] if cfg.points == 1
+            else list(np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)))
+    text = render_sweep(sweep(grid, **_report_options(cfg)), cfg.format)
     if cfg.output:
-        path = _resolve_output(cfg, cfg.output)
+        # os.path.join drops the base directory when --output is absolute
+        base = cfg.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "."
+        path = os.path.join(base, cfg.output)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         out.write(f"wrote {path}\n")
@@ -401,18 +351,14 @@ def cmd_sweep(cfg: RunConfig, out=None) -> int:
 
 def cmd_reproduce(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    table = DISPLACEMENT_TABLE if cfg.table == 1 else MODULATION_TABLE
-    label = "displacement" if cfg.table == 1 else "modulation"
-    out.write(f"reference table {cfg.table} ({label} channel), tolerance {cfg.tol:.1%}\n")
+    channel, table = _REFERENCE_TABLES[cfg.table]
+    rate = PHONON_RATES[channel]
+    out.write(f"reference table {cfg.table} ({channel} channel), tolerance {cfg.tol:.1%}\n")
     out.write(f"{'f0_ghz':>7} {'t1_computed_s':>16} {'t1_reference_s':>16} "
               f"{'rel_err':>9} status\n")
     failures = 0
     for row in table:
-        trap = LateralTrap.isotropic_ghz(row.f0_ghz)
-        if cfg.table == 1:
-            gam, _ = gamma_displacement(trap, mode=KernelMode(cfg.kernel), spec=CLI_SPEC)
-        else:
-            gam, _ = gamma_modulation(trap, spec=CLI_SPEC)
+        gam, _ = rate(LateralTrap.isotropic_ghz(row.f0_ghz), KernelMode(cfg.kernel), CLI_SPEC)
         t1 = 1.0 / gam
         rel = t1 / row.t1_s - 1.0
         ok = abs(rel) <= cfg.tol
@@ -431,19 +377,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
+        commands = {"rates": cmd_rates, "sweep": cmd_sweep, "reproduce": cmd_reproduce}
+        return commands[args.command](cfg)
     except ConfigError as exc:
         where = f"line {exc.line}: " if exc.line is not None else ""
         print(f"config: {where}{exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "rates":
-            return cmd_rates(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_reproduce(cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

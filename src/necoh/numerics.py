@@ -78,7 +78,8 @@ class QuadratureSpec:
         if self.abs_tol < 0.0:
             raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 10:
-            raise ValueError(f"max_subdivisions must be an integer >= 10, got {self.max_subdivisions}")
+            raise ValueError(
+                f"max_subdivisions must be an integer >= 10, got {self.max_subdivisions}")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))

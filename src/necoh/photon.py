@@ -5,6 +5,7 @@ returned decay rates, which are inverse lifetimes).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ class CavityParams:
     detuning: float
 
     def __post_init__(self) -> None:
+        for name in ("g", "kappa", "detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"cavity {name} must be finite")
         if self.g < 0.0 or self.kappa < 0.0:
             raise ValueError("g and kappa must be non-negative")
         if self.detuning == 0.0:

@@ -22,6 +22,15 @@ CHANNEL_DISPLACEMENT = "displacement"
 CHANNEL_MODULATION = "modulation"
 CHANNEL_CAVITY = "cavity"
 
+# bare one-phonon rates, (trap, kernel, spec) -> (gamma, error), in report
+# order. The rate functions are looked up by module-global name at call time,
+# so rebinding them here (a monkeypatch, a tracer) reaches every caller.
+PHONON_RATES = {
+    CHANNEL_DISPLACEMENT:
+        lambda trap, kernel, spec: gamma_displacement(trap, mode=kernel, spec=spec),
+    CHANNEL_MODULATION: lambda trap, kernel, spec: gamma_modulation(trap, spec=spec),
+}
+
 
 def thermal_occupation(omega: float, temperature_k: float) -> float:
     """Bose occupation of a mode at angular frequency omega, rad/s.
@@ -29,10 +38,10 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     Returns exactly 0.0 at T = 0. At 10 mK and 6.4 GHz the occupation is
     ~5e-14, numerically invisible in the rates.
     """
-    if temperature_k < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 <= temperature_k < math.inf:
+        raise ValueError("temperature must be finite and >= 0")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     if temperature_k == 0.0:
         return 0.0
     x = HBAR * omega / (BOLTZMANN * temperature_k)
@@ -120,14 +129,10 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     n_q = thermal_occupation(trap.omega_x, t_k)
     stim = 1.0 + n_q
 
-    g_vac = gamma_vacuum(trap)
-    g_dis, e_dis = gamma_displacement(trap, mode=kernel, spec=spec)
-    g_mod, e_mod = gamma_modulation(trap, spec=spec)
-    channels = [
-        ChannelRate.from_gamma(CHANNEL_VACUUM, g_vac),
-        ChannelRate.from_gamma(CHANNEL_DISPLACEMENT, stim * g_dis, stim * e_dis),
-        ChannelRate.from_gamma(CHANNEL_MODULATION, stim * g_mod, stim * e_mod),
-    ]
+    channels = [ChannelRate.from_gamma(CHANNEL_VACUUM, gamma_vacuum(trap))]
+    for name, rate in PHONON_RATES.items():
+        gamma, err = rate(trap, kernel, spec)
+        channels.append(ChannelRate.from_gamma(name, stim * gamma, stim * err))
     if cavity is not None:
         channels.append(ChannelRate.from_gamma(CHANNEL_CAVITY, gamma_purcell(cavity)))
 

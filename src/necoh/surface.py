@@ -8,6 +8,7 @@ needed here, whose two lowest levels form the qubit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,8 @@ class LateralTrap:
     omega_y: float
 
     def __post_init__(self) -> None:
-        if self.omega_x <= 0.0 or self.omega_y <= 0.0:
-            raise ValueError("trap frequencies must be positive")
+        if not (0.0 < self.omega_x < math.inf and 0.0 < self.omega_y < math.inf):
+            raise ValueError("trap frequencies must be positive and finite")
 
     @classmethod
     def isotropic_ghz(cls, f0_ghz: float) -> "LateralTrap":

@@ -125,6 +125,19 @@ def test_main_rejects_nonpositive_frequency(capfd):
     capfd.readouterr()
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--temperature-mk", "nan", "temperature-mk"),
+    ("--temperature-mk", "inf", "temperature-mk"),
+    ("--f0-ghz", "nan", "f0-ghz"),
+    ("--f0-ghz", "inf", "f0-ghz"),
+    ("--cavity", "g=5,kappa=0.5,detuning=nan", "cavity detuning"),
+])
+def test_main_refuses_non_finite_input(flag, value, named, capfd):
+    assert main(["rates", f"{flag}={value}"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and f"{named} must be finite" in err
+
+
 # --- command output ---
 
 def test_rates_table_lists_channels():
@@ -170,11 +183,11 @@ def test_sweep_csv_written_under_env_dir(tmp_path, monkeypatch, capfd):
 
 
 def test_sweep_csv_round_trips():
-    from necoh.cli import CLI_SPEC, render_sweep_csv
+    from necoh.cli import CLI_SPEC, render_sweep
     from necoh.report import build_report
 
     rep = build_report(2.0, spec=CLI_SPEC)
-    text = render_sweep_csv([rep], with_cavity=False)
+    text = render_sweep([rep], "csv")
     header, row, tail = text.split("\r\n")
     assert tail == ""
     parsed = dict(zip(header.split(","), (float(v) for v in row.split(","))))

@@ -45,6 +45,14 @@ def test_cavity_validation():
         CavityParams.from_mhz(5.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("field", ["g", "kappa", "detuning"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cavity_rejects_non_finite(field, bad):
+    values = {"g_mhz": 5.0, "kappa_mhz": 0.5, "detuning_mhz": 500.0, f"{field}_mhz": bad}
+    with pytest.raises(ValueError, match=f"cavity {field} must be finite"):
+        CavityParams.from_mhz(**values)
+
+
 def test_purcell_hand_value():
     # g^2 kappa / Delta^2 at (5, 0.5, 500) MHz is exactly 100 pi per second
     cav = CavityParams.from_mhz(5.0, 0.5, 500.0)

@@ -49,6 +49,13 @@ def test_thermal_occupation_validation():
         thermal_occupation(0.0, 0.01)
 
 
+@pytest.mark.parametrize("omega, temperature_k", [
+    (4e10, math.nan), (4e10, math.inf), (math.nan, 0.01), (math.inf, 0.01)])
+def test_thermal_occupation_rejects_non_finite(omega, temperature_k):
+    with pytest.raises(ValueError, match="finite"):
+        thermal_occupation(omega, temperature_k)
+
+
 def test_dephasing_rate_is_exactly_zero():
     for f0 in (1.0, 6.4, 10.0):
         trap = LateralTrap.isotropic_ghz(f0)

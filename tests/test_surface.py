@@ -103,6 +103,16 @@ def test_trap_rejects_nonpositive_frequencies():
         LateralTrap.isotropic_ghz(-6.4)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trap_rejects_non_finite_frequencies(bad):
+    with pytest.raises(ValueError, match="finite"):
+        LateralTrap(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        LateralTrap(1.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        LateralTrap.isotropic_ghz(bad)
+
+
 def test_relaxation_form_factor_peaks_at_sqrt2():
     trap = LateralTrap.isotropic_ghz(6.4)
     q_star = math.sqrt(2.0) / trap.length_x
