@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .displacement import KernelMode
+from .displacement import KernelMode, log_kernel_limit_ghz
 from .numerics import ConvergenceError, QuadratureSpec
 from .photon import CavityParams
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
@@ -46,6 +46,8 @@ _REFERENCE_TABLES = {1: (CHANNEL_DISPLACEMENT, DISPLACEMENT_TABLE),
 # flags of the RunConfig fields that must hold finite numbers
 _FINITE_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk",
                  "from_ghz": "from", "to_ghz": "to", "tol": "tol"}
+# the approx kernel's frequency ceiling, where the phonon reaches q r_B = 1
+_LOG_KERNEL_LIMIT_GHZ = log_kernel_limit_ghz()
 
 
 class ConfigError(Exception):
@@ -95,6 +97,15 @@ class RunConfig:
             raise UsageError("tol must be in (0, 1)")
         if self.table not in _REFERENCE_TABLES:
             raise UsageError("table must be 1 or 2")
+        if self.kernel == KernelMode.LOG_APPROX.value:
+            # a one-point sweep runs at --from only
+            keys = ["f0_ghz", "from_ghz"] + (["to_ghz"] if self.points > 1 else [])
+            for key in keys:
+                if getattr(self, key) >= _LOG_KERNEL_LIMIT_GHZ:
+                    raise UsageError(
+                        f"{_FINITE_FLAGS[key]} must be below {_LOG_KERNEL_LIMIT_GHZ:.1f} GHz "
+                        f"with --kernel approx, where the log kernel holds: "
+                        f"got {getattr(self, key)!r} (use --kernel exact)")
 
 
 # config keys with their parsers, one per RunConfig field; the annotations are

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR, NEON, Material
-from .numerics import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive, u_p
+from .numerics import DEFAULT_SPEC, ConvergenceError, QuadratureSpec, integrate_adaptive, u_p
 from .surface import BoundState, LateralTrap
 
 # inset keeping the log kernel finite at the gamma = 1 endpoint
@@ -91,6 +91,17 @@ def matrix_element_up(q, state: BoundState, mode: KernelMode = KernelMode.LOG_AP
     return out
 
 
+def log_kernel_limit_ghz(material: Material = NEON, state: BoundState | None = None) -> float:
+    """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1.
+
+    The logarithmic kernel -ln(q r_B)/2 holds only for q r_B < 1; a phonon
+    emitted at w0 reaches q r_B = alpha, so LOG_APPROX needs f0 below this.
+    """
+    if state is None:
+        state = BoundState.for_material(material)
+    return material.sound_speed / (2e9 * np.pi * state.bohr_radius)
+
+
 def gamma_displacement(trap: LateralTrap, material: Material = NEON,
                        state: BoundState | None = None,
                        mode: KernelMode = KernelMode.LOG_APPROX,
@@ -103,7 +114,10 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
     with g the direction cosine to the surface normal, eta = (w0/c) r_B
     sqrt(1-g^2), beta = hbar w0 / (2 m_e c^2), and k the squared-kernel log
     (or exact u_p average, per ``mode``). The gamma = 1 endpoint is inset by
-    1e-12 to keep the log finite.
+    1e-12 to keep the log finite. The log kernel needs eta < 1 over the whole
+    range, i.e. alpha < 1 (f0 below ``log_kernel_limit_ghz``); beyond that
+    LOG_APPROX raises ValueError. A ConvergenceError names the channel and
+    the trap frequency.
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
@@ -121,6 +135,9 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
 
     kernel_sq: Callable[[np.ndarray], np.ndarray]
     if mode is KernelMode.LOG_APPROX:
+        if alpha >= 1.0:
+            raise ValueError(f"logarithmic kernel requires q r_B < 1: alpha = {alpha:.4g} "
+                             f"at {w0 / (2e9 * np.pi):.3f} GHz (use the exact kernel)")
         kernel_sq = lambda eta: np.log(eta) ** 2
     elif mode is KernelMode.EXACT:
         kernel_sq = lambda eta: 4.0 * u_p_average(eta) ** 2
@@ -132,5 +149,8 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
         eta = alpha * np.sqrt(u2)
         return g * g * u2 ** 3 * np.exp(-beta * u2) * kernel_sq(eta)
 
-    val, err = integrate_adaptive(integrand, 0.0, 1.0 - ENDPOINT_INSET, spec)
+    try:
+        val, err = integrate_adaptive(integrand, 0.0, 1.0 - ENDPOINT_INSET, spec)
+    except ConvergenceError as exc:
+        raise exc.within(f"displacement channel at {w0 / (2e9 * np.pi):.3f} GHz") from exc
     return pref * val, pref * err

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR, NEON, SUBSTRATES, Material
-from .numerics import (DEFAULT_SPEC, QuadratureSpec, bessel_k1,
+from .numerics import (DEFAULT_SPEC, ConvergenceError, QuadratureSpec, bessel_k1,
                        integrate_adaptive, integrate_oscillatory_batch)
 from .surface import BoundState, LateralTrap
 
@@ -104,7 +104,8 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
 
     with alpha = (w0/c) r_B, beta = hbar w0 / (2 m_e c^2) and D the inner
     double integral. The sine scale in D carries the in-plane projection
-    sqrt(1 - g^2) of the emitted phonon.
+    sqrt(1 - g^2) of the emitted phonon. A ConvergenceError names the
+    channel and the trap frequency.
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
@@ -132,7 +133,10 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
             inner_err[0] = max(inner_err[0], 2.0 * abs(d) * derr)
         return out
 
-    val, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
+    try:
+        val, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
+    except ConvergenceError as exc:
+        raise exc.within(f"modulation channel at {w0 / (2e9 * np.pi):.3f} GHz") from exc
     return pref * val, pref * (err + inner_err[0])
 
 

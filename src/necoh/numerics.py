@@ -8,7 +8,9 @@ returns a ``(value, error_estimate)`` pair. Accuracy targets come from a
 """
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +110,11 @@ class ConvergenceError(Exception):
         self.error_estimate = error_estimate
         self.subdivisions = subdivisions
 
+    def within(self, context: str) -> ConvergenceError:
+        """The same failure with ``context`` (e.g. the channel) leading the message."""
+        return ConvergenceError(f"{context}: {self}", self.estimate, self.error_estimate,
+                                self.subdivisions)
+
 
 def _panel_from_values(y: np.ndarray, half_width: float) -> tuple[float, float, float]:
     """Kronrod value, error estimate and |f| integral from node values."""
@@ -196,22 +203,44 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
     return integrate_adaptive(mapped, 0.0, 1.0 - 1e-14, spec)
 
 
-def _euler_accelerate(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated pairwise averaging of alternating-series partial sums.
+@functools.lru_cache(maxsize=128)
+def _euler_weights(n: int) -> np.ndarray:
+    """(n, 2) read-only weights of n >= 2 partial sums: value and last change.
 
-    ``partial`` holds partial sums along the last axis. Returns the
-    accelerated value and an error estimate (last-level change), with the
-    leading axes preserved.
+    After n - 1 levels of pairwise averaging E_m[j] = (E_{m-1}[j] +
+    E_{m-1}[j+1]) / 2 of the partial sums E_0 = s, the top entry is
+    E_{n-1}[0] = sum_k C(n-1, k) s_k / 2^(n-1), and the change of the last
+    entry over the last level is E_{n-1}[0] - E_{n-2}[1], whose weights are
+    (C(n-1, k) - 2 C(n-2, k-1)) / 2^(n-1). Each weight is one correctly
+    rounded division of exact integers.
+    """
+    top = 2 ** (n - 1)
+    value = [math.comb(n - 1, k) for k in range(n)]
+    before = [0] + [2 * math.comb(n - 2, k) for k in range(n - 1)]
+    w = np.array([[v / top, (v - b) / top] for v, b in zip(value, before)])
+    w.flags.writeable = False
+    return w
+
+
+def _euler_accelerate(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euler transform of alternating-series partial sums.
+
+    ``partial`` holds n partial sums along the last axis. The accelerated
+    value is the result of n - 1 levels of iterated pairwise averaging, and
+    the error estimate is the change of the last entry over the last level;
+    both are fixed binomial-weighted sums of the partial sums, applied as one
+    product with the cached weights of ``_euler_weights(n)``. Leading axes
+    are preserved.
     """
     s = np.asarray(partial, dtype=float)
     if s.shape[-1] == 1:
         return s[..., 0], np.abs(s[..., 0]) * _EPS
-    prev_last = s[..., -1]
-    while s.shape[-1] > 1:
-        s = 0.5 * (s[..., :-1] + s[..., 1:])
-        change = np.abs(s[..., -1] - prev_last)
-        prev_last = s[..., -1]
-    return s[..., 0], change
+    # the weights act on offsets from the last partial sum: for a converging
+    # series these are small, so the products round at their scale, not at
+    # the scale of the sums
+    last = s[..., -1]
+    out = (s - last[..., None]) @ _euler_weights(s.shape[-1])
+    return last + out[..., 0], np.abs(out[..., 1])
 
 
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,9 +262,15 @@ def _head_edges(cut: float) -> np.ndarray:
     return np.array(edges)
 
 
+@functools.lru_cache(maxsize=8)
 def _oscillatory_grid(b: float, n_tail_panels: int
                       ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Abscissae, sine-weighted weights and head size for the batched scheme."""
+    """Abscissae, sine-weighted weights and head size for the batched scheme.
+
+    Memoised: the adaptive s integral of one ``d_integral`` call evaluates
+    all its panels at one ``b``. The arrays are read-only, so an envelope
+    cannot corrupt the cached grid.
+    """
     half_period = np.pi / b
     xg, wg = _GL24
     edges = _head_edges(half_period)
@@ -251,6 +286,8 @@ def _oscillatory_grid(b: float, n_tail_panels: int
     tail_w = np.tile(h * wg16, n_tail_panels)
     x = np.concatenate([head_x, tail_x])
     w = np.concatenate([head_w, tail_w]) * np.sin(b * x)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w, head_x.size
 
 
@@ -262,8 +299,11 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
     last axis has length nx; leading axes enumerate the family. The head
     [0, pi/b] uses geometric composite Gauss-Legendre panels, the tail uses
     half-period panels aligned to the sine zeros with the alternating partial
-    sums accelerated by iterated averaging. The envelope is evaluated in a
-    single call on the full grid.
+    sums accelerated by the Euler transform (one product with binomial
+    weights, see ``_euler_accelerate``). The envelope is evaluated in a
+    single call on the full grid. The grid for each recent ``(b,
+    n_tail_panels)`` is cached and handed to ``env`` read-only: an envelope
+    that writes into its argument raises ``ValueError``.
     """
     if b < 0.0:
         raise ValueError("b must be >= 0")

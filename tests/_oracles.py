@@ -81,3 +81,20 @@ def d_closed(b: float) -> float:
         lambda s: s * math.exp(-2.0 * s) * h_closed(b * s),
         0.0, 80.0, limit=400, epsabs=0.0, epsrel=1e-12)
     return val
+
+
+def euler_average(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euler transform of partial sums by explicit iterated pairwise averaging.
+
+    Averages neighbours along the last axis until one entry is left; returns
+    that entry and the change of the last entry over the last level.
+    """
+    s = np.asarray(partial, dtype=float)
+    if s.shape[-1] == 1:
+        return s[..., 0], np.abs(s[..., 0]) * np.finfo(float).eps
+    prev_last = s[..., -1]
+    while s.shape[-1] > 1:
+        s = 0.5 * (s[..., :-1] + s[..., 1:])
+        change = np.abs(s[..., -1] - prev_last)
+        prev_last = s[..., -1]
+    return s[..., 0], change

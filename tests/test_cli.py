@@ -138,6 +138,20 @@ def test_main_refuses_non_finite_input(flag, value, named, capfd):
     assert err.startswith("error: ") and f"{named} must be finite" in err
 
 
+def test_main_refuses_log_kernel_past_its_limit(capfd):
+    assert main(["rates", "--f0-ghz", "100"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: f0-ghz must be below 92.6 GHz with --kernel approx")
+    assert main(["sweep", "--from", "1", "--to", "95", "--points", "3"]) == 2
+    assert capfd.readouterr().err.startswith("error: to must be below 92.6 GHz")
+
+
+def test_exact_kernel_runs_past_the_log_kernel_limit(capfd):
+    assert main(["rates", "--f0-ghz", "100", "--kernel", "exact", "--format", "csv"]) == 0
+    rows = capfd.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows] == ["channel", "vacuum", "displacement", "modulation"]
+
+
 # --- command output ---
 
 def test_rates_table_lists_channels():

@@ -8,10 +8,11 @@ from necoh.displacement import (
     KernelMode,
     _S_DENSITY,
     gamma_displacement,
+    log_kernel_limit_ghz,
     matrix_element_up,
     u_p_average,
 )
-from necoh.numerics import EULER_GAMMA, QuadratureSpec
+from necoh.numerics import EULER_GAMMA, ConvergenceError, QuadratureSpec
 from necoh.surface import BoundState, LateralTrap
 
 
@@ -125,3 +126,36 @@ def test_rate_error_scales_with_spec():
     tight = gamma_displacement(trap, spec=QuadratureSpec(rel_tol=1e-10))
     assert loose[0] == pytest.approx(tight[0], rel=1e-4)
     assert tight[1] <= loose[1]
+
+
+def test_log_kernel_limit_matches_matrix_element_domain(state):
+    limit = log_kernel_limit_ghz()
+    assert limit == pytest.approx(92.63, rel=1e-3)
+    q_limit = 2e9 * math.pi * limit / NEON.sound_speed
+    assert q_limit * state.bohr_radius == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError):
+        matrix_element_up(1.001 * q_limit, state)
+
+
+def test_rate_log_kernel_refused_past_its_limit():
+    gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(92.0))
+    assert math.isfinite(gamma) and gamma > 0.0
+    for f0 in (log_kernel_limit_ghz(), 100.0):
+        with pytest.raises(ValueError, match="logarithmic kernel requires q r_B < 1"):
+            gamma_displacement(LateralTrap.isotropic_ghz(f0), mode=KernelMode.LOG_APPROX)
+    gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(100.0), mode=KernelMode.EXACT,
+                                  spec=QuadratureSpec(rel_tol=1e-7))
+    assert math.isfinite(gamma) and gamma > 0.0
+
+
+def test_convergence_error_names_channel_and_frequency():
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=10)
+    with pytest.raises(ConvergenceError) as info:
+        gamma_displacement(LateralTrap.isotropic_ghz(6.4), spec=spec)
+    exc = info.value
+    assert str(exc).startswith("displacement channel at 6.400 GHz: adaptive quadrature")
+    inner = exc.__cause__
+    assert isinstance(inner, ConvergenceError)
+    assert (exc.estimate, exc.error_estimate, exc.subdivisions) == (
+        inner.estimate, inner.error_estimate, inner.subdivisions)
+    assert exc.subdivisions == 10 and exc.error_estimate > 0.0

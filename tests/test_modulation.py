@@ -20,7 +20,7 @@ from necoh.modulation import (
     gamma_modulation,
     substrate_suppression,
 )
-from necoh.numerics import QuadratureSpec
+from necoh.numerics import ConvergenceError, QuadratureSpec
 from necoh.surface import BoundState, LateralTrap
 
 from _oracles import d_closed
@@ -151,3 +151,16 @@ def test_no_suppression_for_soft_host():
     row, = substrate_suppression(trap, (NEON,))
     assert row.wavenumber_ratio < 1.0
     assert row.suppressed is False
+
+
+def test_convergence_error_names_channel_and_frequency():
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=10)
+    with pytest.raises(ConvergenceError) as info:
+        gamma_modulation(LateralTrap.isotropic_ghz(6.4), spec=spec)
+    exc = info.value
+    assert str(exc).startswith("modulation channel at 6.400 GHz: adaptive quadrature")
+    inner = exc.__cause__
+    assert isinstance(inner, ConvergenceError)
+    assert (exc.estimate, exc.error_estimate, exc.subdivisions) == (
+        inner.estimate, inner.error_estimate, inner.subdivisions)
+    assert exc.subdivisions == 10 and exc.error_estimate > 0.0

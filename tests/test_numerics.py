@@ -6,6 +6,7 @@ routine.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from necoh.numerics import (
     integrate_oscillatory_batch,
     integrate_semi_infinite,
     integrate_semi_infinite_oscillatory,
+    _euler_accelerate,
     u_p,
 )
 
-from _oracles import h_closed, k1_reference
+from _oracles import euler_average, h_closed, k1_reference
+
+_EPS = float(np.finfo(float).eps)
 
 
 # --- rule tables ---
@@ -152,6 +156,70 @@ def test_oscillatory_batch_agrees_with_scalar_path():
         got_s, _ = integrate_semi_infinite_oscillatory(env, b, DEFAULT_SPEC)
         got_b, _ = integrate_oscillatory_batch(lambda x: env(x)[None, :], b)
         assert float(got_b[0]) == pytest.approx(got_s, rel=1e-8)
+
+
+def _alternating_partial_sums(rng, shape, n):
+    # an offset plus alternating terms of slowly falling size: the partial
+    # sums the tail of the oscillatory scheme produces
+    k = np.arange(1, n + 1)
+    terms = (-1.0) ** k * rng.uniform(0.5, 1.0, size=shape + (n,)) / k
+    return rng.normal(size=shape + (1,)) + np.cumsum(terms, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(), (15,), (3, 15)])
+def test_euler_weights_match_iterated_averaging(shape):
+    rng = np.random.default_rng(20)
+    for n in range(1, 65):
+        s = _alternating_partial_sums(rng, shape, n)
+        value, err = _euler_accelerate(s)
+        want_value, want_err = euler_average(s)
+        assert value.shape == err.shape == shape
+        ulp = np.spacing(np.max(np.abs(s), axis=-1))
+        assert np.all(np.abs(value - want_value) <= 4.0 * ulp), n
+        assert np.all(np.abs(err - want_err) <= 4.0 * ulp), n
+
+
+def test_euler_weights_match_exact_binomial_sum():
+    rng = np.random.default_rng(21)
+    for n in range(2, 65):
+        s = _alternating_partial_sums(rng, (), n)
+        exact = sum(Fraction(math.comb(n - 1, k), 2 ** (n - 1)) * Fraction(float(s[k]))
+                    for k in range(n))
+        value, _ = _euler_accelerate(s)
+        assert abs(Fraction(float(value)) - exact) <= float(np.spacing(np.max(np.abs(s)))), n
+
+
+def test_euler_accelerates_alternating_harmonic_series_to_ln2():
+    for n in range(2, 65):
+        k = np.arange(1, n + 1)
+        value, err = _euler_accelerate(np.cumsum((-1.0) ** (k + 1) / k))
+        # past n ~ 45 the truncation error is below rounding, which the
+        # estimate does not carry (integrate_oscillatory_batch floors it)
+        assert abs(float(value) - math.log(2.0)) <= float(err) + 4.0 * _EPS, n
+
+
+def test_oscillatory_batch_cache_hit_is_bit_identical():
+    def env(x):
+        return np.exp(-np.outer([0.3, 1.1], 1.0 + x))
+
+    first = integrate_oscillatory_batch(env, 0.61803)
+    again = integrate_oscillatory_batch(env, 0.61803)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_oscillatory_batch_grid_is_read_only():
+    def writes(x):
+        x[0] = 0.0
+        return np.exp(-x)[None, :]
+
+    b = 0.271828
+    want = integrate_oscillatory_batch(lambda x: np.exp(-x)[None, :], b)
+    with pytest.raises(ValueError):
+        integrate_oscillatory_batch(writes, b)
+    got = integrate_oscillatory_batch(lambda x: np.exp(-x)[None, :], b)
+    for a, c in zip(want, got):
+        assert np.array_equal(a, c)
 
 
 def test_oscillatory_zero_frequency_is_exact_zero():
