@@ -19,10 +19,11 @@ EULER_GAMMA = 0.5772156649015329
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def _k1_series(x: float) -> float:
+def _k1_series_sums(x: float) -> tuple[float, float]:
     # ascending series around x = 0:
     # K1(x) = ln(x/2) I1(x) + 1/x
     #         - (x/4) sum_k [psi(k+1) + psi(k+2)] (x^2/4)^k / (k! (k+1)!)
+    # returns (2 I1(x) / x, the psi-weighted sum)
     q = 0.25 * x * x
     psi1 = -EULER_GAMMA
     psi2 = 1.0 - EULER_GAMMA
@@ -38,8 +39,12 @@ def _k1_series(x: float) -> float:
         i1 += coeff
         if abs(contrib) < 1e-18 * abs(total):
             break
-    i1 *= 0.5 * x
-    return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * total
+    return i1, total
+
+
+def _k1_series(x: float) -> float:
+    i1, total = _k1_series_sums(x)
+    return math.log(0.5 * x) * (i1 * (0.5 * x)) + 1.0 / x - 0.25 * x * total
 
 
 def _k1_integral(x: float) -> float:
@@ -47,13 +52,10 @@ def _k1_integral(x: float) -> float:
     # integrand is below e^-45 of its peak
     t_max = math.acosh(1.0 + 45.0 / x)
     edges = np.linspace(0.0, t_max, 25)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        t = 0.5 * (hi + lo) + half * _GL_NODES
-        ch = np.cosh(t)
-        total += half * float(np.sum(_GL_WEIGHTS * np.exp(-x * ch) * ch))
-    return total
+    half = 0.5 * np.diff(edges)
+    t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_NODES).ravel()
+    ch = np.cosh(t)
+    return float((half[:, None] * _GL_WEIGHTS).ravel() @ (np.exp(-x * ch) * ch))
 
 
 def k1_reference(x: float) -> float:
@@ -61,6 +63,63 @@ def k1_reference(x: float) -> float:
     if x <= 0.0:
         raise ValueError("x must be positive")
     return _k1_series(x) if x < 2.0 else _k1_integral(x)
+
+
+def u_p_reference(x: float) -> float:
+    """(1 - x K1(x)) / x^2 from the same two routes as ``k1_reference``.
+
+    Below x = 2 the leading 1/x of the ascending series cancels the 1
+    exactly on paper, leaving -ln(x/2) I1(x)/x + (1/4) sum_k [...], so no
+    digits are lost as x -> 0. Above, x K1(x) < 0.28 and the direct form is
+    well conditioned.
+    """
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    if x < 2.0:
+        i1, total = _k1_series_sums(x)
+        return -0.5 * math.log(0.5 * x) * i1 + 0.25 * total
+    return (1.0 - x * _k1_integral(x)) / (x * x)
+
+
+def up_average_direct(eta: float) -> float:
+    """Ground-state average 4 int_0^inf s^2 e^(-2s) u_p(eta s) ds by quadrature.
+
+    ``scipy.integrate.quad`` over ``u_p_reference``; the weight is below
+    e^-150 past s = 80.
+    """
+    def f(s: float) -> float:
+        return 4.0 * s * s * math.exp(-2.0 * s) * u_p_reference(eta * s)
+
+    return scipy.integrate.quad(f, 0.0, 80.0, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+
+
+def displacement_integral(alpha: float, beta: float, exact: bool) -> float:
+    """int_0^1 dg g^2 u^3 e^(-beta u) k^2 with u = 1 - g^2, eta = alpha sqrt(u).
+
+    k^2 is ln(eta)^2 for the log kernel and 4 <u_p>(eta)^2, from
+    ``up_average_direct``, for the exact one. ``scipy.integrate.quad``.
+    """
+    def f(g: float) -> float:
+        u = (1.0 - g) * (1.0 + g)
+        if u <= 0.0:
+            return 0.0
+        eta = alpha * math.sqrt(u)
+        k2 = 4.0 * up_average_direct(eta) ** 2 if exact else math.log(eta) ** 2
+        return g * g * u ** 3 * math.exp(-beta * u) * k2
+
+    return scipy.integrate.quad(f, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+
+
+def modulation_integral(alpha: float, beta: float) -> float:
+    """int_0^1 dg u e^(-beta u) D(alpha sqrt(u))^2 with u = 1 - g^2.
+
+    D from ``d_closed``; ``scipy.integrate.quad`` over g.
+    """
+    def f(g: float) -> float:
+        u = (1.0 - g) * (1.0 + g)
+        return u * math.exp(-beta * u) * d_closed(alpha * math.sqrt(u)) ** 2
+
+    return scipy.integrate.quad(f, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-11)[0]
 
 
 def h_closed(x: float) -> float:
