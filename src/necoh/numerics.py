@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -364,7 +363,13 @@ def bessel_k1(x):
     """Modified Bessel function of the second kind, order one.
 
     Accepts positive scalars or arrays. Raises ValueError outside the domain.
+    ``scipy.special`` is imported here, not at module level: importing it
+    costs ~0.4 s, and no rate computed by the package calls K1 any more
+    (``displacement.u_p_average`` is a closed form), so ``import necoh`` and
+    every CLI command stay free of it.
     """
+    from scipy import special
+
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("bessel_k1 requires x > 0")
@@ -386,7 +391,11 @@ def u_p(eta):
 
         u_p(eta) = -(1/2)(ln(eta/2) + gamma_E - 1/2)
                    - (eta^2/16)(ln(eta/2) + gamma_E - 5/4) + O(eta^4 ln eta)
+
+    Like ``bessel_k1`` it imports ``scipy.special`` on first use only.
     """
+    from scipy import special
+
     arr = np.asarray(eta, dtype=float)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("u_p requires eta > 0")

@@ -36,7 +36,8 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     """Bose occupation of a mode at angular frequency omega, rad/s.
 
     Returns exactly 0.0 at T = 0. At 10 mK and 6.4 GHz the occupation is
-    ~5e-14, numerically invisible in the rates.
+    ~5e-14, numerically invisible in the rates; deep in the tail it
+    underflows smoothly to 0.0.
     """
     if not 0.0 <= temperature_k < math.inf:
         raise ValueError("temperature must be finite and >= 0")
@@ -45,6 +46,10 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     if temperature_k == 0.0:
         return 0.0
     x = HBAR * omega / (BOLTZMANN * temperature_k)
+    if x > 700.0:
+        # expm1 overflows past x ~ 709.8 (above ~148 GHz at 10 mK); here
+        # 1/(e^x - 1) equals e^-x to double precision
+        return math.exp(-x)
     return 1.0 / math.expm1(x)
 
 

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import necoh
 from necoh.cli import (
     ConfigError,
     RunConfig,
@@ -243,3 +248,40 @@ def test_cli_flags_override_config_file(tmp_path, capfd):
     assert main(["rates", "--config", str(path), "--format", "table"]) == 0
     out = capfd.readouterr().out
     assert out.startswith("f0 = 1 GHz")
+
+
+# Runs in a fresh interpreter: lists the scipy modules loaded after
+# ``import necoh``, after ``import necoh.cli`` and after four CLI commands,
+# with the exit code of each command.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import necoh
+seen = {"import necoh": scipy_modules()}
+from necoh.cli import main
+seen["import necoh.cli"] = scipy_modules()
+codes = []
+for argv in (["rates", "--kernel", "approx"], ["rates", "--kernel", "exact"],
+             ["sweep", "--points", "2", "--kernel", "exact"],
+             ["reproduce", "--table", "1", "--kernel", "exact"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+seen["commands"] = scipy_modules()
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_rate_paths_leave_scipy_unloaded():
+    # scipy.special alone costs ~0.4 s of start-up; only bessel_k1 and u_p,
+    # which no rate calls, import it
+    src = str(Path(necoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    out = json.loads(res.stdout)
+    assert out["codes"] == [0, 0, 0, 1]  # table 1 follows the log kernel
+    assert out["seen"] == {"import necoh": [], "import necoh.cli": [], "commands": []}

@@ -42,6 +42,17 @@ def test_thermal_occupation_boltzmann_tail():
         math.exp(-x), rel=1e-12)
 
 
+def test_thermal_occupation_past_the_exponent_range():
+    # 1/expm1(x) overflows past x ~ 709.8, i.e. above ~148 GHz at 10 mK
+    t_k = mk_to_kelvin(10.0)
+    for x in (650.0, 705.0):
+        omega = x * BOLTZMANN * t_k / HBAR
+        x_used = HBAR * omega / (BOLTZMANN * t_k)
+        assert math.isclose(thermal_occupation(omega, t_k), math.exp(-x_used),
+                            rel_tol=1e-12, abs_tol=0.0)
+    assert thermal_occupation(LateralTrap.isotropic_ghz(200.0).omega_x, t_k) == 0.0
+
+
 def test_thermal_occupation_validation():
     with pytest.raises(ValueError):
         thermal_occupation(4e10, -0.1)
