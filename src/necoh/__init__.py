@@ -11,8 +11,8 @@ from __future__ import annotations
 from .constants import NEON, SAPPHIRE, SILICON, Material
 from .displacement import (KernelMode, gamma_displacement, matrix_element_up,
                            u_p_average)
-from .modulation import (SubstrateDiagnostics, d_integral, dielectric_variation,
-                         f_kernel_exact, gamma_modulation, substrate_suppression)
+from .modulation import (SubstrateDiagnostics, d_integral, gamma_modulation,
+                         substrate_suppression)
 from .numerics import (ConvergenceError, QuadratureSpec, bessel_k1,
                        integrate_adaptive, integrate_semi_infinite,
                        integrate_semi_infinite_oscillatory, u_p)
@@ -20,8 +20,7 @@ from .photon import (CavityParams, DispersiveLimitWarning, gamma_purcell,
                      gamma_vacuum)
 from .report import (ChannelRate, CoherenceReport, build_report,
                      gamma_phi_one_phonon, sweep, thermal_occupation)
-from .surface import (BoundState, LateralTrap, dephasing_form_factor,
-                      image_coupling, relaxation_form_factor)
+from .surface import BoundState, LateralTrap
 
 __version__ = "0.1.0"
 
@@ -43,20 +42,15 @@ __all__ = [
     "bessel_k1",
     "build_report",
     "d_integral",
-    "dephasing_form_factor",
-    "dielectric_variation",
-    "f_kernel_exact",
     "gamma_displacement",
     "gamma_modulation",
     "gamma_phi_one_phonon",
     "gamma_purcell",
     "gamma_vacuum",
-    "image_coupling",
     "integrate_adaptive",
     "integrate_semi_infinite",
     "integrate_semi_infinite_oscillatory",
     "matrix_element_up",
-    "relaxation_form_factor",
     "substrate_suppression",
     "sweep",
     "thermal_occupation",

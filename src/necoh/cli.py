@@ -10,7 +10,9 @@ Three subcommands:
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit command line flags win over the file. Exit codes: 0 success, 1 a
 channel computation or a reproduction comparison failed, 2 usage or config
-errors, non-finite numbers (nan, inf) included.
+errors, non-finite numbers (nan, inf) included. Warnings raised while a
+command runs (the dispersive limit of the cavity channel) go to stderr as
+one ``warning: <message>`` line each.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -380,6 +383,10 @@ def cmd_reproduce(cfg: RunConfig, out=None) -> int:
     return 0 if failures == 0 else 1
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -389,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         commands = {"rates": cmd_rates, "sweep": cmd_sweep, "reproduce": cmd_reproduce}
-        return commands[args.command](cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return commands[args.command](cfg)
     except ConfigError as exc:
         where = f"line {exc.line}: " if exc.line is not None else ""
         print(f"config: {where}{exc}", file=sys.stderr)

@@ -40,7 +40,9 @@ def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, fl
     D(b) = int_0^inf ds int_0^inf ds' s^2/(s+s')^2 sin(b s') e^(-2s)
 
     evaluated with the oscillatory semi-infinite scheme in s' (batched over
-    the outer Gauss-Kronrod nodes in s) and the s integral cut at 40. For
+    the outer Gauss-Kronrod nodes in s) and the s integral cut at 40. The
+    batch sees only the s'-dependent factor 1/(s+s')^2; the inner values and
+    their error estimates are scaled by s^2 e^(-2s) per node afterwards. For
     b -> 0, D(b) -> (b/4)(ln(2/b) - 3/2).
     """
     if b < 0.0:
@@ -51,12 +53,12 @@ def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, fl
 
     def outer(s: np.ndarray) -> np.ndarray:
         def env(x: np.ndarray) -> np.ndarray:
-            ss = s[:, None]
-            return ss * ss / (ss + x[None, :]) ** 2 * np.exp(-2.0 * ss)
+            return 1.0 / (s[:, None] + x[None, :]) ** 2
 
         vals, errs = integrate_oscillatory_batch(env, b)
-        inner_err[0] = max(inner_err[0], float(np.max(errs)))
-        return vals
+        scale = s * s * np.exp(-2.0 * s)
+        inner_err[0] = max(inner_err[0], float(np.max(errs * scale)))
+        return vals * scale
 
     val, err = integrate_adaptive(outer, 0.0, S_CUTOFF, spec)
     return val, err + S_CUTOFF * inner_err[0]

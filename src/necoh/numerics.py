@@ -262,13 +262,26 @@ def _head_edges(cut: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _oscillatory_grid(b: float, n_tail_panels: int
-                      ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Abscissae, sine-weighted weights and head size for the batched scheme.
+def _oscillatory_grid(b: float, n_tail_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and folded (nx, 3) weights of the batched scheme.
 
-    Memoised: the adaptive s integral of one ``d_integral`` call evaluates
-    all its panels at one ``b``. The arrays are read-only, so an envelope
-    cannot corrupt the cached grid.
+    The head [0, pi/b] carries geometric composite GL24 panels, the tail
+    ``n_tail_panels`` GL16 half-period panels aligned to the sine zeros.
+    Everything ``integrate_oscillatory_batch`` does after the envelope is
+    evaluated is linear in it, so it is folded into three columns of
+    sine-weighted composite weights ``w``:
+
+    - value: the head sum plus the Euler-accelerated tail. With E =
+      ``_euler_weights(n)`` acting on the partial sums through their offsets
+      from the last one, tail panel i carries 1 - sum_{k<i} E[k, 0] and the
+      head 1;
+    - Euler change: -sum_{k<i} E[k, 1] on tail panel i, 0 on the head;
+    - last tail panel: its weights alone, for the floor of the estimate.
+
+    With one tail panel the transform is the identity: the value column is
+    all ones and the change column zero. Memoised: the adaptive s integral
+    of one ``d_integral`` call evaluates all its panels at one ``b``. Both
+    arrays are read-only, so an envelope cannot corrupt the cached grid.
     """
     half_period = np.pi / b
     xg, wg = _GL24
@@ -285,9 +298,19 @@ def _oscillatory_grid(b: float, n_tail_panels: int
     tail_w = np.tile(h * wg16, n_tail_panels)
     x = np.concatenate([head_x, tail_x])
     w = np.concatenate([head_w, tail_w]) * np.sin(b * x)
+    # per tail panel: value, Euler change and last-panel coefficients
+    panel = np.zeros((n_tail_panels, 3))
+    panel[:, 0] = 1.0
+    panel[-1, 2] = 1.0
+    if n_tail_panels > 1:
+        panel[1:, :2] -= np.cumsum(_euler_weights(n_tail_panels), axis=0)[:-1]
+    coeff = np.concatenate([np.tile([1.0, 0.0, 0.0], (head_x.size, 1)),
+                            np.repeat(panel, xg16.size, axis=0)])
+    # column-major: each column is one contiguous dot with the envelope
+    weights = np.asfortranarray(w[:, None] * coeff)
     x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w, head_x.size
+    weights.flags.writeable = False
+    return x, weights
 
 
 def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: float,
@@ -298,11 +321,15 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
     last axis has length nx; leading axes enumerate the family. The head
     [0, pi/b] uses geometric composite Gauss-Legendre panels, the tail uses
     half-period panels aligned to the sine zeros with the alternating partial
-    sums accelerated by the Euler transform (one product with binomial
-    weights, see ``_euler_accelerate``). The envelope is evaluated in a
-    single call on the full grid. The grid for each recent ``(b,
-    n_tail_panels)`` is cached and handed to ``env`` read-only: an envelope
-    that writes into its argument raises ``ValueError``.
+    sums accelerated by the Euler transform (see ``_euler_accelerate``).
+    Head sum, partial sums and transform are one fixed linear functional of
+    the envelope, folded into the cached weights of ``_oscillatory_grid``,
+    so each call is a single product ``env(x) @ W`` giving the value, the
+    last Euler change and the last tail panel. The error estimate is the
+    largest of |change|, 1e-6 |last panel| and 100 eps |value|. The envelope
+    is evaluated in a single call on the full grid, which is handed to
+    ``env`` read-only: an envelope that writes into its argument raises
+    ``ValueError``.
     """
     if b < 0.0:
         raise ValueError("b must be >= 0")
@@ -310,15 +337,11 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
         probe = np.asarray(env(np.array([1.0])), dtype=float)
         shape = probe.shape[:-1]
         return np.zeros(shape), np.zeros(shape)
-    x, w, n_head = _oscillatory_grid(b, n_tail_panels)
-    y = np.asarray(env(x), dtype=float) * w
-    head_val = y[..., :n_head].sum(axis=-1)
-    contribs = y[..., n_head:].reshape(y.shape[:-1] + (n_tail_panels, _GL16[0].size))
-    contribs = contribs.sum(axis=-1)
-    partial = head_val[..., None] + np.cumsum(contribs, axis=-1)
-    value, accel_err = _euler_accelerate(partial)
+    x, weights = _oscillatory_grid(b, n_tail_panels)
+    r = np.asarray(env(x), dtype=float) @ weights
+    value = r[..., 0]
     # floor the estimate at the scale of the last alternating term
-    err = np.maximum(accel_err, np.abs(contribs[..., -1]) * 1e-6)
+    err = np.maximum(np.abs(r[..., 1]), np.abs(r[..., 2]) * 1e-6)
     err = np.maximum(err, np.abs(value) * 100.0 * _EPS)
     return value, err
 

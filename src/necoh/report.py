@@ -79,6 +79,8 @@ class ChannelRate:
     @classmethod
     def from_gamma(cls, name: str, gamma: float, error_estimate: float = 0.0
                    ) -> "ChannelRate":
+        if not math.isfinite(gamma):
+            raise ValueError(f"non-finite rate for channel {name}: {gamma!r}")
         if gamma < 0.0:
             raise ValueError(f"negative rate for channel {name}")
         t1 = math.inf if gamma == 0.0 else 1.0 / gamma

@@ -143,6 +143,32 @@ def test_main_refuses_non_finite_input(flag, value, named, capfd):
     assert err.startswith("error: ") and f"{named} must be finite" in err
 
 
+def test_main_refuses_an_overflowing_rate(capfd):
+    # the stimulated-emission factor at 1e308 mK overflows the modulation rate
+    assert main(["rates", "--temperature-mk", "1e308", "--format", "csv"]) == 1
+    out, err = capfd.readouterr()
+    assert "inf" not in out
+    assert err.startswith("error: non-finite rate for channel modulation")
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's necoh on its path."""
+    src = str(Path(necoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_dispersive_limit_warning_is_one_stderr_line():
+    res = _run_python("-m", "necoh", "rates", "--f0-ghz", "1", "--format", "csv",
+                      "--cavity", "g=5,kappa=0.5,detuning=10")
+    assert res.returncode == 0
+    assert res.stderr == ("warning: g/|detuning| = 0.500 exceeds 0.1; dispersive Purcell "
+                          "formula is outside its validity range\n")
+    assert [r.split(",")[0] for r in res.stdout.splitlines()] == [
+        "channel", "vacuum", "displacement", "modulation", "cavity"]
+
+
 def test_main_refuses_log_kernel_past_its_limit(capfd):
     assert main(["rates", "--f0-ghz", "100"]) == 2
     err = capfd.readouterr().err
@@ -277,11 +303,8 @@ print(json.dumps({"seen": seen, "codes": codes}))
 def test_rate_paths_leave_scipy_unloaded():
     # scipy.special alone costs ~0.4 s of start-up; only bessel_k1 and u_p,
     # which no rate calls, import it
-    src = str(Path(necoh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
+    res = _run_python("-c", _SCIPY_PROBE)
+    assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
     assert out["codes"] == [0, 0, 0, 1]  # table 1 follows the log kernel
     assert out["seen"] == {"import necoh": [], "import necoh.cli": [], "commands": []}

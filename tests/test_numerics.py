@@ -29,7 +29,7 @@ from necoh.numerics import (
     u_p,
 )
 
-from _oracles import euler_average, h_closed, k1_reference
+from _oracles import euler_average, h_closed, k1_reference, oscillatory_batch_unfolded
 
 _EPS = float(np.finfo(float).eps)
 
@@ -196,6 +196,30 @@ def test_euler_accelerates_alternating_harmonic_series_to_ln2():
         # past n ~ 45 the truncation error is below rounding, which the
         # estimate does not carry (integrate_oscillatory_batch floors it)
         assert abs(float(value) - math.log(2.0)) <= float(err) + 4.0 * _EPS, n
+
+
+_S_NODES = np.geomspace(0.02, 30.0, 15)
+
+
+@pytest.mark.parametrize("n_tail_panels", [1, 2, 64])
+@pytest.mark.parametrize("env", [
+    lambda x: 1.0 / (1.0 + x) ** 2,
+    lambda x: (np.exp(-0.3 * x) / (1.0 + x))[None, :],
+    lambda x: 1.0 / (_S_NODES[:, None] + x[None, :]) ** 2,
+], ids=["(nx,)", "(1, nx)", "(15, nx)"])
+def test_oscillatory_batch_folded_weights_match_unfolded_sums(env, n_tail_panels):
+    # the cached weight product against the head/tail sums, cumulative sums,
+    # iterated Euler averaging and floors taken one by one. A single-row
+    # product (BLAS gemv) lands up to 9 ulp of sum |w env| from the exact sum
+    # on this grid, the unfolded sums within 1 ulp. The unfolded change is a
+    # difference of partial sums, so it carries rounding at their scale.
+    for b in np.geomspace(1e-4, 5.0, 25):
+        value, err = integrate_oscillatory_batch(env, float(b), n_tail_panels)
+        want_value, want_err, scale = oscillatory_batch_unfolded(env, float(b), n_tail_panels)
+        ulp = np.spacing(scale)
+        assert value.shape == err.shape == want_value.shape
+        assert np.all(np.abs(value - want_value) <= 16.0 * ulp), b
+        assert np.all(np.abs(err - want_err) <= 1e-6 * want_err + 8.0 * ulp), b
 
 
 def test_oscillatory_batch_cache_hit_is_bit_identical():

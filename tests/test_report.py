@@ -91,6 +91,12 @@ def test_channel_rate_rejects_negative():
         ChannelRate.from_gamma("x", -1.0)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_channel_rate_rejects_non_finite(gamma):
+    with pytest.raises(ValueError, match="channel modulation"):
+        ChannelRate.from_gamma("modulation", gamma)
+
+
 def test_report_channel_set(report):
     assert [c.name for c in report.channels] == [
         "vacuum", "displacement", "modulation", "cavity"]
