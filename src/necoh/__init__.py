@@ -9,8 +9,7 @@ vanishes identically, so every channel obeys T2 = 2 T1.
 from __future__ import annotations
 
 from .constants import NEON, SAPPHIRE, SILICON, Material
-from .displacement import (KernelMode, gamma_displacement, matrix_element_up,
-                           u_p_average)
+from .displacement import KernelMode, gamma_displacement, u_p_average
 from .modulation import (SubstrateDiagnostics, d_integral, gamma_modulation,
                          substrate_suppression)
 from .numerics import (ConvergenceError, QuadratureSpec, bessel_k1,
@@ -50,7 +49,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_semi_infinite",
     "integrate_semi_infinite_oscillatory",
-    "matrix_element_up",
     "substrate_suppression",
     "sweep",
     "thermal_occupation",

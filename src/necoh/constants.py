@@ -16,7 +16,6 @@ HBAR = 1.054571817e-27  # erg s
 BOLTZMANN = 1.380649e-16  # erg/K
 
 CM_PER_NM = 1e-7
-ERG_PER_KELVIN = BOLTZMANN
 
 TWO_PI = 6.283185307179586
 

@@ -78,32 +78,6 @@ def u_p_average(eta) -> np.ndarray:
     return vals
 
 
-def matrix_element_up(q, state: BoundState, mode: KernelMode = KernelMode.LOG_APPROX):
-    """Squared vertical matrix element of the displacement coupling.
-
-    Returns Lambda^2 q^4 k(q r_B)^2 where the kernel k is -ln(q r_B)/2 in
-    LOG_APPROX mode (valid and positive only for q r_B < 1, ValueError
-    beyond) and the ground-state average of u_p in EXACT mode. On
-    q r_B in [1e-3, 0.3] the exact form dominates the approximation.
-    """
-    q_arr = np.asarray(q, dtype=float)
-    if q_arr.size and not np.all(q_arr > 0.0):
-        raise ValueError("matrix_element_up requires q > 0")
-    eta = q_arr * state.bohr_radius
-    if mode is KernelMode.LOG_APPROX:
-        if np.any(eta >= 1.0):
-            raise ValueError("logarithmic kernel requires q r_B < 1")
-        kernel = -0.5 * np.log(eta)
-    elif mode is KernelMode.EXACT:
-        kernel = u_p_average(eta)
-    else:
-        raise ValueError(f"unknown kernel mode: {mode!r}")
-    out = state.lam ** 2 * q_arr ** 4 * np.asarray(kernel) ** 2
-    if np.isscalar(q) or q_arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def log_kernel_limit_ghz(material: Material = NEON, state: BoundState | None = None) -> float:
     """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1.
 

@@ -1,16 +1,12 @@
 """Phonon emission through dielectric-constant modulation.
 
 A longitudinal phonon modulates the density of the dielectric, hence its
-dielectric constant, hence the image potential. This couples to the lateral
-qubit through an in-plane momentum kick. The reduced rate integral runs over
-the emission direction cosine g with an inner double integral D over the
-vertical coordinates of the electron (s) and the polarization source (s'),
-oscillatory in s'. The in-plane projection sqrt(1 - g^2) sets the oscillation
-scale of the sine in D; see ``d_integral``.
-
-The full (unreduced) kernel with the Bessel K1 weight is kept available as
-``f_kernel_exact`` for validation; its small in-plane-wavenumber limit is
-16 D^2 / (q_par r_B)^2.
+dielectric constant (by (eps - 1) drho/rho to first order), hence the image
+potential. This couples to the lateral qubit through an in-plane momentum
+kick. The reduced rate integral runs over the emission direction cosine g with
+an inner double integral D over the vertical coordinates of the electron (s)
+and the polarization source (s'), oscillatory in s'. The in-plane projection
+sqrt(1 - g^2) sets the oscillation scale of the sine in D; see ``d_integral``.
 """
 from __future__ import annotations
 
@@ -19,19 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELECTRON_MASS, HBAR, NEON, SUBSTRATES, Material
-from .numerics import (DEFAULT_SPEC, ConvergenceError, QuadratureSpec, bessel_k1,
+from .numerics import (DEFAULT_SPEC, ConvergenceError, QuadratureSpec,
                        integrate_adaptive, integrate_oscillatory_batch)
 from .surface import BoundState, LateralTrap
 
 S_CUTOFF = 40.0  # e^(-2s) below 2e-35 past this
 SUPPRESSION_THRESHOLD = 2.0
-
-
-def dielectric_variation(material: Material, relative_density_change) -> np.ndarray:
-    """First-order dielectric response (eps - 1) * drho/rho to a density change."""
-    if material.epsilon is None:
-        raise ValueError(f"{material.name} has no dielectric constant set")
-    return (material.epsilon - 1.0) * np.asarray(relative_density_change, dtype=float)
 
 
 def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
@@ -43,7 +32,9 @@ def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, fl
     the outer Gauss-Kronrod nodes in s) and the s integral cut at 40. The
     batch sees only the s'-dependent factor 1/(s+s')^2; the inner values and
     their error estimates are scaled by s^2 e^(-2s) per node afterwards. For
-    b -> 0, D(b) -> (b/4)(ln(2/b) - 3/2).
+    b -> 0, D(b) -> (b/4)(ln(2/b) - 3/2). With the full weight K1(a(s+s'))
+    in place of its 1/(a(s+s')) asymptote, the squared kernel F of in-plane
+    wavenumber a = q_par r_B tends to 16 D(b)^2 / a^2 as a -> 0.
     """
     if b < 0.0:
         raise ValueError("b must be >= 0")
@@ -62,38 +53,6 @@ def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, fl
 
     val, err = integrate_adaptive(outer, 0.0, S_CUTOFF, spec)
     return val, err + S_CUTOFF * inner_err[0]
-
-
-def f_kernel_exact(q_par: float, q_z: float, state: BoundState,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
-    """Unreduced vertical kernel of the modulation coupling.
-
-    F = 16 [ int_0^inf ds s^2 e^(-2s)
-             int_0^inf ds' sin(q_z r_B s') K1(q_par r_B (s+s')) / (s+s') ]^2
-
-    The s' integral keeps the full K1 weight instead of its 1/x asymptote;
-    as q_par r_B -> 0, F approaches 16 D(q_z r_B)^2 / (q_par r_B)^2.
-    Returns (F, error_estimate).
-    """
-    if q_par <= 0.0 or q_z <= 0.0:
-        raise ValueError("f_kernel_exact requires positive wavenumbers")
-    a = q_par * state.bohr_radius
-    b = q_z * state.bohr_radius
-    inner_err = [0.0]
-
-    def outer(s: np.ndarray) -> np.ndarray:
-        def env(x: np.ndarray) -> np.ndarray:
-            ss = s[:, None]
-            arg = a * (ss + x[None, :])
-            return ss * ss * np.exp(-2.0 * ss) * bessel_k1(arg) / (ss + x[None, :])
-
-        vals, errs = integrate_oscillatory_batch(env, b)
-        inner_err[0] = max(inner_err[0], float(np.max(errs)))
-        return vals
-
-    amp, err = integrate_adaptive(outer, 0.0, S_CUTOFF, spec)
-    total_err = err + S_CUTOFF * inner_err[0]
-    return 16.0 * amp * amp, 32.0 * abs(amp) * total_err
 
 
 def gamma_modulation(trap: LateralTrap, material: Material = NEON,

@@ -242,12 +242,8 @@ def _euler_accelerate(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last + out[..., 0], np.abs(out[..., 1])
 
 
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-_GL24 = _gl_rule(24)
-_GL16 = _gl_rule(16)
+_GL24 = np.polynomial.legendre.leggauss(24)
+_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def _head_edges(cut: float) -> np.ndarray:

@@ -35,31 +35,43 @@ PHONON_RATES = {
 def thermal_occupation(omega: float, temperature_k: float) -> float:
     """Bose occupation of a mode at angular frequency omega, rad/s.
 
-    Returns exactly 0.0 at T = 0. At 10 mK and 6.4 GHz the occupation is
-    ~5e-14, numerically invisible in the rates; deep in the tail it
-    underflows smoothly to 0.0.
+    Returns exactly 0.0 at T = 0, and also where k T underflows to zero
+    (T below ~2e-308 K), its T -> 0 limit. At 10 mK and 6.4 GHz the
+    occupation is ~5e-14, numerically invisible in the rates; deep in the
+    tail it underflows smoothly to 0.0. Where hbar omega / k T underflows
+    instead, the occupation is not finite and ValueError names omega and T.
     """
     if not 0.0 <= temperature_k < math.inf:
         raise ValueError("temperature must be finite and >= 0")
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be positive and finite")
-    if temperature_k == 0.0:
+    kt = BOLTZMANN * temperature_k
+    if kt == 0.0:
         return 0.0
-    x = HBAR * omega / (BOLTZMANN * temperature_k)
+    x = HBAR * omega / kt
     if x > 700.0:
         # expm1 overflows past x ~ 709.8 (above ~148 GHz at 10 mK); here
         # 1/(e^x - 1) equals e^-x to double precision
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if not math.isfinite(n):
+        raise ValueError(f"thermal occupation is not finite at omega = {omega:.6g} rad/s, "
+                         f"T = {temperature_k:.6g} K")
+    return n
 
 
 def gamma_phi_one_phonon(trap: LateralTrap, material: Material = NEON,
                          temperature_k: float = 0.0) -> float:
     """One-phonon pure-dephasing rate: exactly zero.
 
-    An elastic one-phonon process must conserve energy, which pins the
-    phonon at q -> 0; both dephasing form factors vanish quartically there,
-    so the golden-rule rate is identically zero at any temperature.
+    For the harmonic trap with oscillator lengths a_x, a_y and phonon
+    in-plane momentum q = (q_x, q_y), the relaxation form factor
+    |<0_x 0_y| e^(iq.r) |1_x 0_y>|^2 is (1/2)(q_x a_x)^2 e^(-q^2 a^2 / 2)
+    and the dephasing form factor |<1|e^(iq.r)|1> - <0|e^(iq.r)|0>|^2 is
+    (1/4)(q_x a_x)^4 e^(-q^2 a^2 / 2), with q^2 a^2 = q_x^2 a_x^2 +
+    q_y^2 a_y^2. An elastic one-phonon process must conserve energy, which
+    pins the phonon at q -> 0, where the quartic factor vanishes; so the
+    golden-rule rate is identically zero at any temperature.
     """
     if temperature_k < 0.0:
         raise ValueError("temperature must be >= 0")

@@ -37,6 +37,9 @@ class BoundState:
     rydberg : float
         Effective Rydberg R = hbar^2 / (2 m_e r_B^2), erg. Level n binds
         with energy -R/n^2.
+
+    The ground-state density (4/r_B)(z/r_B)^2 e^(-2z/r_B), peaked at r_B with
+    <z> = 1.5 r_B, is the weight 4 s^2 e^(-2s) of both phonon channels.
     """
 
     lam: float
@@ -51,31 +54,6 @@ class BoundState:
         r_b = HBAR ** 2 / (lam * ELECTRON_MASS)
         ryd = HBAR ** 2 / (2.0 * ELECTRON_MASS * r_b ** 2)
         return cls(lam=lam, bohr_radius=r_b, rydberg=ryd)
-
-    def level_energy(self, n: int) -> float:
-        """Binding energy -R/n^2 of vertical level n >= 1, erg."""
-        if n < 1:
-            raise ValueError("level index starts at 1")
-        return -self.rydberg / (n * n)
-
-    def ground_density(self, z) -> np.ndarray:
-        """Ground-state probability density |psi_1(z)|^2, 1/cm.
-
-        (4/r_B)(z/r_B)^2 exp(-2 z / r_B) for z >= 0, normalized to one.
-        """
-        z = np.asarray(z, dtype=float)
-        s = z / self.bohr_radius
-        return np.where(z >= 0.0, 4.0 / self.bohr_radius * s * s * np.exp(-2.0 * s), 0.0)
-
-    @property
-    def mean_height(self) -> float:
-        """<z> in the ground state, 1.5 r_B."""
-        return 1.5 * self.bohr_radius
-
-    @property
-    def most_probable_height(self) -> float:
-        """argmax of |psi_1|^2, exactly r_B."""
-        return self.bohr_radius
 
 
 @dataclass(frozen=True)
@@ -107,32 +85,6 @@ class LateralTrap:
         return float(np.sqrt(HBAR / (ELECTRON_MASS * self.omega_x)))
 
     @property
-    def length_y(self) -> float:
-        return float(np.sqrt(HBAR / (ELECTRON_MASS * self.omega_y)))
-
-    @property
     def transition_dipole(self) -> float:
         """|<0| e x |1>| = e a_x / sqrt(2), statC cm."""
         return ELEMENTARY_CHARGE * self.length_x / np.sqrt(2.0)
-
-
-def relaxation_form_factor(q_x, q_y, trap: LateralTrap) -> np.ndarray:
-    """|<0_x 0_y| exp(i q.r) |1_x 0_y>|^2 for the harmonic trap.
-
-    Equals (1/2)(q_x a_x)^2 exp(-(q_x^2 a_x^2 + q_y^2 a_y^2)/2). Vanishes
-    quadratically at q -> 0, which is what shuts off one-phonon dephasing.
-    """
-    qx = np.asarray(q_x, dtype=float) * trap.length_x
-    qy = np.asarray(q_y, dtype=float) * trap.length_y
-    return 0.5 * qx * qx * np.exp(-0.5 * (qx * qx + qy * qy))
-
-
-def dephasing_form_factor(q_x, q_y, trap: LateralTrap) -> np.ndarray:
-    """|<1| exp(i q.r) |1> - <0| exp(i q.r) |0>|^2 for the x levels.
-
-    Equals (1/4)(q_x a_x)^4 exp(-(q_x^2 a_x^2 + q_y^2 a_y^2)/2), i.e. the
-    relaxation form factor times (q_x a_x)^2 / 2. Quartic at small q.
-    """
-    qx = np.asarray(q_x, dtype=float) * trap.length_x
-    qy = np.asarray(q_y, dtype=float) * trap.length_y
-    return 0.25 * qx ** 4 * np.exp(-0.5 * (qx * qx + qy * qy))

@@ -142,6 +142,29 @@ def d_closed(b: float) -> float:
     return val
 
 
+def f_kernel_quad(a: float, b: float) -> float:
+    """Unreduced squared kernel of the modulation coupling by nested quad.
+
+    F(a, b) = 16 [ int_0^inf ds s^2 e^(-2s)
+                   int_0^inf ds' sin(b s') K1(a (s+s')) / (s+s') ]^2
+
+    with a = q_par r_B and b = q_z r_B. The inner Fourier integral is
+    QUADPACK's QAWF (``scipy.integrate.quad`` with ``weight="sin"``), taken
+    of a s^2 K1(a (s+s')) / (s+s'), which stays of order one as s -> 0 and
+    a -> 0, so one absolute tolerance fits every s. The outer integral is a
+    plain quad over s, cut at 40 where e^(-2s) is below 2e-35. As a -> 0 the
+    K1 weight tends to 1/(a (s+s')), so F tends to 16 D(b)^2 / a^2.
+    """
+    def inner(s: float) -> float:
+        return scipy.integrate.quad(
+            lambda t: a * s * s * scipy.special.k1(a * (s + t)) / (s + t),
+            0.0, np.inf, weight="sin", wvar=b, epsabs=1e-10)[0]
+
+    amp = scipy.integrate.quad(lambda s: math.exp(-2.0 * s) * inner(s),
+                               0.0, 40.0, limit=200, epsabs=0.0, epsrel=1e-10)[0] / a
+    return 16.0 * amp * amp
+
+
 def euler_average(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euler transform of partial sums by explicit iterated pairwise averaging.
 

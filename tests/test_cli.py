@@ -151,6 +151,19 @@ def test_main_refuses_an_overflowing_rate(capfd):
     assert err.startswith("error: non-finite rate for channel modulation")
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--f0-ghz", "1e-320"],
+    ["sweep", "--from", "1e-320", "--to", "1e-319", "--points", "2"],
+])
+def test_main_refuses_a_non_finite_occupation(argv, capfd):
+    # hbar omega / k T underflows to zero at these trap frequencies
+    assert main(argv) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: thermal occupation is not finite at omega = ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's necoh on its path."""
     src = str(Path(necoh.__file__).resolve().parents[1])

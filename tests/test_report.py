@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from necoh.cli import CLI_SPEC
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
-from necoh.displacement import gamma_displacement
+from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
 from necoh.numerics import QuadratureSpec
 from necoh.photon import CavityParams, gamma_vacuum
@@ -67,6 +69,20 @@ def test_thermal_occupation_rejects_non_finite(omega, temperature_k):
         thermal_occupation(omega, temperature_k)
 
 
+def test_thermal_occupation_where_kt_underflows():
+    # BOLTZMANN * 1e-313 K rounds to 0.0: the T -> 0 limit, not a division by it
+    assert BOLTZMANN * 1e-313 == 0.0
+    assert thermal_occupation(4e10, 1e-313) == 0.0
+
+
+# hbar omega / k T at 10 mK underflows to 0.0, or to a subnormal whose
+# reciprocal overflows
+@pytest.mark.parametrize("omega", [6.283e-311, 1.3e-301])
+def test_thermal_occupation_refuses_a_non_finite_occupation(omega):
+    with pytest.raises(ValueError, match=r"not finite at omega = .* rad/s, T = 0.01 K"):
+        thermal_occupation(omega, 0.01)
+
+
 def test_dephasing_rate_is_exactly_zero():
     for f0 in (1.0, 6.4, 10.0):
         trap = LateralTrap.isotropic_ghz(f0)
@@ -95,6 +111,23 @@ def test_channel_rate_rejects_negative():
 def test_channel_rate_rejects_non_finite(gamma):
     with pytest.raises(ValueError, match="channel modulation"):
         ChannelRate.from_gamma("modulation", gamma)
+
+
+@settings(deadline=None, max_examples=100)
+@given(f0=st.floats(1e-4, 90.0), t_mk=st.floats(0.0, 1e3),
+       kernel=st.sampled_from(list(KernelMode)))
+@example(f0=6.4, t_mk=1e-310, kernel=KernelMode.LOG_APPROX)  # k T underflows to 0.0
+def test_displacement_channel_properties(f0, t_mk, kernel):
+    """A finite positive stimulated rate, T2 = 2 T1 bit for bit, and the
+    vacuum rate exactly quadratic in omega, at the CLI spec."""
+    trap = LateralTrap.isotropic_ghz(f0)
+    stim = 1.0 + thermal_occupation(trap.omega_x, mk_to_kelvin(t_mk))
+    gamma, err = gamma_displacement(trap, mode=kernel, spec=CLI_SPEC)
+    assert math.isfinite(stim * gamma) and stim * gamma > 0.0
+    ch = ChannelRate.from_gamma("displacement", stim * gamma, stim * err)
+    assert ch.t2 == 2.0 * ch.t1
+    doubled = LateralTrap(2.0 * trap.omega_x, 2.0 * trap.omega_y)
+    assert gamma_vacuum(doubled) / gamma_vacuum(trap) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_report_channel_set(report):
