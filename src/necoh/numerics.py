@@ -3,8 +3,9 @@
 All integrators take vectorized callables: the integrand receives a numpy
 array of abscissae and must return an array of the same shape. Every routine
 returns a ``(value, error_estimate)`` pair. Accuracy targets come from a
-:class:`QuadratureSpec`; running out of subdivisions raises
-:class:`ConvergenceError` carrying the best estimate obtained so far.
+:class:`QuadratureSpec`; an error estimate that misses it (the adaptive
+routines out of subdivisions, or the fixed oscillatory grid too coarse)
+raises :class:`ConvergenceError` carrying the best estimate obtained.
 """
 from __future__ import annotations
 
@@ -90,7 +91,7 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 class ConvergenceError(Exception):
-    """Raised when the subdivision budget is exhausted.
+    """Raised when a quadrature's error estimate misses its spec.
 
     Attributes
     ----------
@@ -99,7 +100,7 @@ class ConvergenceError(Exception):
     error_estimate : float
         Error estimate attached to `estimate`.
     subdivisions : int
-        Number of bisections performed.
+        Number of bisections performed (0 for the fixed oscillatory grid).
     """
 
     def __init__(self, message: str, estimate: float, error_estimate: float,
@@ -115,24 +116,9 @@ class ConvergenceError(Exception):
                                 self.subdivisions)
 
 
-def _panel_from_values(y: np.ndarray, half_width: float) -> tuple[float, float, float]:
-    """Kronrod value, error estimate and |f| integral from node values."""
-    kron = half_width * float(GK15_KRONROD_WEIGHTS @ y)
-    gauss = half_width * float(GK15_GAUSS_WEIGHTS @ y[_G_SLICE])
-    resabs = half_width * float(GK15_KRONROD_WEIGHTS @ np.abs(y))
-    mean = kron / (2.0 * half_width)
-    resasc = half_width * float(GK15_KRONROD_WEIGHTS @ np.abs(y - mean))
-    raw = abs(kron - gauss)
-    if resasc != 0.0 and raw != 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    err = max(err, 50.0 * _EPS * resabs)
-    return kron, err, resabs
-
-
 def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
                 ) -> tuple[float, float]:
+    """Kronrod value and error estimate of one GK15 panel."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * GK15_NODES
     y = np.asarray(f(x), dtype=float)
@@ -140,8 +126,17 @@ def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
         raise ValueError("integrand must return an array matching its input shape")
     if not np.all(np.isfinite(y)):
         raise ValueError(f"integrand returned non-finite values on [{lo}, {hi}]")
-    val, err, _ = _panel_from_values(y, half)
-    return val, err
+    kron = half * float(GK15_KRONROD_WEIGHTS @ y)
+    gauss = half * float(GK15_GAUSS_WEIGHTS @ y[_G_SLICE])
+    resabs = half * float(GK15_KRONROD_WEIGHTS @ np.abs(y))
+    mean = kron / (2.0 * half)
+    resasc = half * float(GK15_KRONROD_WEIGHTS @ np.abs(y - mean))
+    raw = abs(kron - gauss)
+    if resasc != 0.0 and raw != 0.0:
+        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
+    else:
+        err = raw
+    return kron, max(err, 50.0 * _EPS * resabs)
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -221,27 +216,6 @@ def _euler_weights(n: int) -> np.ndarray:
     return w
 
 
-def _euler_accelerate(partial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Euler transform of alternating-series partial sums.
-
-    ``partial`` holds n partial sums along the last axis. The accelerated
-    value is the result of n - 1 levels of iterated pairwise averaging, and
-    the error estimate is the change of the last entry over the last level;
-    both are fixed binomial-weighted sums of the partial sums, applied as one
-    product with the cached weights of ``_euler_weights(n)``. Leading axes
-    are preserved.
-    """
-    s = np.asarray(partial, dtype=float)
-    if s.shape[-1] == 1:
-        return s[..., 0], np.abs(s[..., 0]) * _EPS
-    # the weights act on offsets from the last partial sum: for a converging
-    # series these are small, so the products round at their scale, not at
-    # the scale of the sums
-    last = s[..., -1]
-    out = (s - last[..., None]) @ _euler_weights(s.shape[-1])
-    return last + out[..., 0], np.abs(out[..., 1])
-
-
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL16 = np.polynomial.legendre.leggauss(16)
 
@@ -317,7 +291,7 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
     last axis has length nx; leading axes enumerate the family. The head
     [0, pi/b] uses geometric composite Gauss-Legendre panels, the tail uses
     half-period panels aligned to the sine zeros with the alternating partial
-    sums accelerated by the Euler transform (see ``_euler_accelerate``).
+    sums accelerated by the Euler transform (see ``_euler_weights``).
     Head sum, partial sums and transform are one fixed linear functional of
     the envelope, folded into the cached weights of ``_oscillatory_grid``,
     so each call is a single product ``env(x) @ W`` giving the value, the
@@ -347,35 +321,21 @@ def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b
                                         ) -> tuple[float, float]:
     """``int_0^inf f(x) sin(b x) dx`` for a smooth decaying envelope ``f``.
 
-    The head panel [0, pi/b] is integrated adaptively; past the first sine
-    zero the integral is summed over half-period panels and the alternating
-    partial sums are accelerated by iterated averaging. ``b = 0`` is the
-    degenerate sine-free case and returns zero exactly.
+    The scalar case of ``integrate_oscillatory_batch``: one product of ``f``,
+    one value per abscissa (else ValueError), with the cached folded weights.
+    There is no refinement: an error estimate above ``spec.tolerance(value)``
+    raises :class:`ConvergenceError` with the value and estimate
+    (``subdivisions`` 0). ``b = 0`` is the sine-free case and returns 0.
     """
-    if b < 0.0:
-        raise ValueError("b must be >= 0")
     if b == 0.0:
         return 0.0, 0.0
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return f(x) * np.sin(b * x)
-
-    half_period = np.pi / b
-    head_val, head_err = integrate_adaptive(g, 0.0, half_period, spec)
-    contribs = []
-    panel_err = 0.0
-    total = head_val
-    n_tail = 64
-    for k in range(1, n_tail + 1):
-        val, err = _eval_panel(g, k * half_period, (k + 1) * half_period)
-        contribs.append(val)
-        panel_err += err
-        total += val
-        if abs(val) < 0.01 * spec.tolerance(total) and k >= 6:
-            break
-    partial = head_val + np.cumsum(contribs)
-    value, accel_err = _euler_accelerate(partial)
-    return float(value), float(accel_err) + head_err + panel_err
+    value, err = (r.item() for r in integrate_oscillatory_batch(f, b))
+    if not err <= spec.tolerance(value):
+        raise ConvergenceError(
+            f"oscillatory quadrature did not reach tolerance at b = {b}: "
+            f"error {err:.3e} on value {value:.6e}",
+            estimate=value, error_estimate=err, subdivisions=0)
+    return value, err
 
 
 def bessel_k1(x):

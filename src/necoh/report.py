@@ -139,7 +139,9 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
 
     Phonon channels carry the stimulated-emission factor (1 + n) with n the
     thermal occupation at the qubit frequency; photon channels are evaluated
-    at zero occupation, where the closed forms below hold exactly.
+    at zero occupation, where the closed forms below hold exactly. A vacuum
+    or phonon rate that underflows to 0 (tiny f0, e.g. 1e-60 GHz) raises
+    ValueError naming the channel and f0; the cavity rate is 0 at g = 0.
     """
     if f0_ghz <= 0.0:
         raise ValueError("f0_ghz must be positive")
@@ -148,10 +150,18 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     n_q = thermal_occupation(trap.omega_x, t_k)
     stim = 1.0 + n_q
 
-    channels = [ChannelRate.from_gamma(CHANNEL_VACUUM, gamma_vacuum(trap))]
+    def positive(name: str, gamma: float, err: float = 0.0) -> ChannelRate:
+        # these rates are positive at every f0 > 0, so 0.0 means underflow,
+        # refused before a later channel runs (the modulation envelope
+        # overflows at such f0)
+        if gamma == 0.0:
+            raise ValueError(f"{name} rate underflows to 0 at f0 = {f0_ghz:g} GHz")
+        return ChannelRate.from_gamma(name, gamma, err)
+
+    channels = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
     for name, rate in PHONON_RATES.items():
         gamma, err = rate(trap, kernel, spec)
-        channels.append(ChannelRate.from_gamma(name, stim * gamma, stim * err))
+        channels.append(positive(name, stim * gamma, stim * err))
     if cavity is not None:
         channels.append(ChannelRate.from_gamma(CHANNEL_CAVITY, gamma_purcell(cavity)))
 

@@ -151,6 +151,20 @@ def test_main_refuses_an_overflowing_rate(capfd):
     assert err.startswith("error: non-finite rate for channel modulation")
 
 
+@pytest.mark.parametrize("argv, channel, f0", [
+    (["rates", "--f0-ghz", "1e-60"], "displacement", "1e-60"),
+    (["rates", "--f0-ghz", "1e-300"], "vacuum", "1e-300"),
+    (["sweep", "--from", "1e-300", "--to", "1", "--points", "2"], "vacuum", "1e-300"),
+])
+def test_main_refuses_an_underflowed_rate(argv, channel, f0, capfd):
+    # a rate of exactly 0 would print T1 = inf; it is refused at the first
+    # channel that underflows, before the modulation envelope overflows
+    assert main(argv + ["--format", "csv"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: {channel} rate underflows to 0 at f0 = {f0} GHz\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["rates", "--f0-ghz", "1e-320"],
     ["sweep", "--from", "1e-320", "--to", "1e-319", "--points", "2"],

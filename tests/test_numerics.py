@@ -25,7 +25,7 @@ from necoh.numerics import (
     integrate_oscillatory_batch,
     integrate_semi_infinite,
     integrate_semi_infinite_oscillatory,
-    _euler_accelerate,
+    _euler_weights,
     u_p,
 )
 
@@ -148,14 +148,59 @@ def test_oscillatory_exponential_envelope():
     assert float(got_b[0]) == pytest.approx(want, rel=1e-9)
 
 
-def test_oscillatory_batch_agrees_with_scalar_path():
+def test_oscillatory_batch_matches_closed_form():
     def env(x):
         return 1.0 / (1.0 + x) ** 2
 
     for b in (0.05, 0.4, 1.3):
-        got_s, _ = integrate_semi_infinite_oscillatory(env, b, DEFAULT_SPEC)
-        got_b, _ = integrate_oscillatory_batch(lambda x: env(x)[None, :], b)
-        assert float(got_b[0]) == pytest.approx(got_s, rel=1e-8)
+        got, err = integrate_oscillatory_batch(lambda x: env(x)[None, :], b)
+        want = h_closed(b)
+        assert abs(float(got[0]) - want) <= float(err[0]), b
+        assert float(got[0]) == pytest.approx(want, rel=1e-8)
+
+
+_LOG_GRID = np.geomspace(0.01, 10.0, 13)
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-7)],
+                         ids=["default", "rel1e-7"])
+@pytest.mark.parametrize("family", ["exp", "inverse-square"])
+def test_oscillatory_scalar_error_bar_is_honest(family, spec):
+    # e^(-a x) has the transform b / (a^2 + b^2), (1 + x)^-2 the closed
+    # form h_closed(b). Each call either returns an error bar that covers
+    # the true error and meets the spec, or raises with an estimate whose
+    # error bar still covers the true error.
+    if family == "exp":
+        cases = [(lambda x, a=a: np.exp(-a * x), b, b / (a * a + b * b))
+                 for a in _LOG_GRID for b in _LOG_GRID]
+    else:
+        cases = [(lambda x: (1.0 + x) ** -2, b, h_closed(b))
+                 for b in np.geomspace(0.01, 10.0, 25)]
+    for f, b, want in cases:
+        try:
+            got, err = integrate_semi_infinite_oscillatory(f, float(b), spec)
+        except ConvergenceError as exc:
+            assert exc.subdivisions == 0
+            assert abs(exc.estimate - want) <= exc.error_estimate, b
+        else:
+            assert abs(got - want) <= err <= spec.tolerance(got), (b, got, want, err)
+
+
+def test_oscillatory_scalar_refuses_spec_beyond_its_grid():
+    spec = QuadratureSpec(rel_tol=1e-13)
+    with pytest.raises(ConvergenceError) as info:
+        integrate_semi_infinite_oscillatory(lambda x: (1.0 + x) ** -2, 1.0, spec)
+    exc = info.value
+    assert exc.error_estimate > spec.tolerance(exc.estimate)
+    assert abs(exc.estimate - h_closed(1.0)) <= exc.error_estimate
+
+
+def _euler_transform(partial):
+    # the Euler transform the way integrate_oscillatory_batch folds it: the
+    # weights act on the offsets of the n >= 2 partial sums from the last one
+    last = partial[..., -1]
+    out = (partial - last[..., None]) @ _euler_weights(partial.shape[-1])
+    return last + out[..., 0], np.abs(out[..., 1])
 
 
 def _alternating_partial_sums(rng, shape, n):
@@ -169,9 +214,9 @@ def _alternating_partial_sums(rng, shape, n):
 @pytest.mark.parametrize("shape", [(), (15,), (3, 15)])
 def test_euler_weights_match_iterated_averaging(shape):
     rng = np.random.default_rng(20)
-    for n in range(1, 65):
+    for n in range(2, 65):
         s = _alternating_partial_sums(rng, shape, n)
-        value, err = _euler_accelerate(s)
+        value, err = _euler_transform(s)
         want_value, want_err = euler_average(s)
         assert value.shape == err.shape == shape
         ulp = np.spacing(np.max(np.abs(s), axis=-1))
@@ -180,19 +225,24 @@ def test_euler_weights_match_iterated_averaging(shape):
 
 
 def test_euler_weights_match_exact_binomial_sum():
-    rng = np.random.default_rng(21)
+    # value column: C(n-1, k) / 2^(n-1), the top of n - 1 averaging levels;
+    # change column: that minus C(n-2, k-1) / 2^(n-2), the weight of the
+    # partial sum s_k in the last entry one level earlier. Each weight is the
+    # correctly rounded exact fraction.
     for n in range(2, 65):
-        s = _alternating_partial_sums(rng, (), n)
-        exact = sum(Fraction(math.comb(n - 1, k), 2 ** (n - 1)) * Fraction(float(s[k]))
-                    for k in range(n))
-        value, _ = _euler_accelerate(s)
-        assert abs(Fraction(float(value)) - exact) <= float(np.spacing(np.max(np.abs(s)))), n
+        w = _euler_weights(n)
+        assert w.shape == (n, 2) and not w.flags.writeable
+        for k in range(n):
+            value = Fraction(math.comb(n - 1, k), 2 ** (n - 1))
+            before = Fraction(math.comb(n - 2, k - 1), 2 ** (n - 2)) if k else Fraction(0)
+            assert w[k, 0] == float(value), (n, k)
+            assert w[k, 1] == float(value - before), (n, k)
 
 
 def test_euler_accelerates_alternating_harmonic_series_to_ln2():
     for n in range(2, 65):
         k = np.arange(1, n + 1)
-        value, err = _euler_accelerate(np.cumsum((-1.0) ** (k + 1) / k))
+        value, err = _euler_transform(np.cumsum((-1.0) ** (k + 1) / k))
         # past n ~ 45 the truncation error is below rounding, which the
         # estimate does not carry (integrate_oscillatory_batch floors it)
         assert abs(float(value) - math.log(2.0)) <= float(err) + 4.0 * _EPS, n
@@ -201,7 +251,7 @@ def test_euler_accelerates_alternating_harmonic_series_to_ln2():
 _S_NODES = np.geomspace(0.02, 30.0, 15)
 
 
-@pytest.mark.parametrize("n_tail_panels", [1, 2, 64])
+@pytest.mark.parametrize("n_tail_panels", [1, 2, 3, 7, 64])
 @pytest.mark.parametrize("env", [
     lambda x: 1.0 / (1.0 + x) ** 2,
     lambda x: (np.exp(-0.3 * x) / (1.0 + x))[None, :],
@@ -256,6 +306,16 @@ def test_oscillatory_zero_frequency_is_exact_zero():
 def test_oscillatory_rejects_negative_frequency():
     with pytest.raises(ValueError):
         integrate_semi_infinite_oscillatory(lambda x: np.exp(-x), -1.0, DEFAULT_SPEC)
+
+
+@pytest.mark.parametrize("env", [
+    lambda x: np.exp(-np.outer([1.0, 2.0], x)),
+    lambda x: 1.0,
+    lambda x: np.exp(-x)[:, None],
+], ids=["family", "scalar", "column"])
+def test_oscillatory_scalar_rejects_envelope_of_wrong_shape(env):
+    with pytest.raises(ValueError):
+        integrate_semi_infinite_oscillatory(env, 1.0, DEFAULT_SPEC)
 
 
 # --- special functions ---
