@@ -12,9 +12,7 @@ from .constants import NEON, SAPPHIRE, SILICON, Material
 from .displacement import KernelMode, gamma_displacement, u_p_average
 from .modulation import (SubstrateDiagnostics, d_integral, gamma_modulation,
                          substrate_suppression)
-from .numerics import (ConvergenceError, QuadratureSpec, bessel_k1,
-                       integrate_adaptive, integrate_semi_infinite,
-                       integrate_semi_infinite_oscillatory, u_p)
+from .numerics import ConvergenceError, QuadratureSpec, integrate_adaptive
 from .photon import (CavityParams, DispersiveLimitWarning, gamma_purcell,
                      gamma_vacuum)
 from .report import (ChannelRate, CoherenceReport, build_report,
@@ -38,7 +36,6 @@ __all__ = [
     "SAPPHIRE",
     "SILICON",
     "SubstrateDiagnostics",
-    "bessel_k1",
     "build_report",
     "d_integral",
     "gamma_displacement",
@@ -47,11 +44,8 @@ __all__ = [
     "gamma_purcell",
     "gamma_vacuum",
     "integrate_adaptive",
-    "integrate_semi_infinite",
-    "integrate_semi_infinite_oscillatory",
     "substrate_suppression",
     "sweep",
     "thermal_occupation",
-    "u_p",
     "u_p_average",
 ]

@@ -38,7 +38,7 @@ ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
 
 # formatted output carries 13 significant digits but the physics tolerances
 # are percent-level; 1e-7 keeps the sweep comfortably inside its time budget
-CLI_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=0.0, max_subdivisions=400)
+CLI_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
 
 _FORMATS = ("table", "csv", "json")
 _KERNELS = tuple(m.value for m in KernelMode)

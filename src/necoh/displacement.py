@@ -78,15 +78,13 @@ def u_p_average(eta) -> np.ndarray:
     return vals
 
 
-def log_kernel_limit_ghz(material: Material = NEON, state: BoundState | None = None) -> float:
-    """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1.
+def log_kernel_limit_ghz() -> float:
+    """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1 in neon.
 
     The logarithmic kernel -ln(q r_B)/2 holds only for q r_B < 1; a phonon
     emitted at w0 reaches q r_B = alpha, so LOG_APPROX needs f0 below this.
     """
-    if state is None:
-        state = BoundState.for_material(material)
-    return material.sound_speed / (2e9 * np.pi * state.bohr_radius)
+    return NEON.sound_speed / (2e9 * np.pi * BoundState.for_material(NEON).bohr_radius)
 
 
 def gamma_displacement(trap: LateralTrap, material: Material = NEON,
@@ -108,8 +106,6 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
-    if trap.omega_x != trap.omega_y:
-        raise ValueError("displacement rate assumes an isotropic trap")
     if state is None:
         state = BoundState.for_material(material)
     w0 = trap.omega_x

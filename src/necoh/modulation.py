@@ -70,8 +70,6 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
-    if trap.omega_x != trap.omega_y:
-        raise ValueError("modulation rate assumes an isotropic trap")
     if state is None:
         state = BoundState.for_material(material)
     w0 = trap.omega_x
@@ -81,7 +79,6 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
     pref = (8.0 * state.rydberg ** 2 * w0 ** 4
             / (np.pi * ELECTRON_MASS * material.density * c ** 7))
     inner_spec = QuadratureSpec(rel_tol=max(1e-10, 0.01 * spec.rel_tol),
-                                abs_tol=0.0,
                                 max_subdivisions=spec.max_subdivisions)
     inner_err = [0.0]
 
@@ -118,13 +115,11 @@ class SubstrateDiagnostics:
     suppressed: bool
 
 
-def substrate_suppression(trap: LateralTrap,
-                          substrates: tuple[Material, ...] = SUBSTRATES
-                          ) -> tuple[SubstrateDiagnostics, ...]:
-    """Wavenumber-mismatch diagnostics for phonon leakage into substrates."""
+def substrate_suppression(trap: LateralTrap) -> tuple[SubstrateDiagnostics, ...]:
+    """Wavenumber-mismatch diagnostics for phonon leakage into each substrate."""
     k_e = 1.0 / trap.length_x
     rows = []
-    for sub in substrates:
+    for sub in SUBSTRATES:
         k_ph = trap.omega_x / sub.sound_speed
         ratio = k_e / k_ph
         rows.append(SubstrateDiagnostics(

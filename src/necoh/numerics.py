@@ -64,27 +64,22 @@ class QuadratureSpec:
     ----------
     rel_tol : float
         Relative tolerance, in (0, 1e-2].
-    abs_tol : float
-        Absolute tolerance floor, >= 0.
     max_subdivisions : int
         Bisection budget, >= 10.
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 0.0
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
         if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 10:
             raise ValueError(
                 f"max_subdivisions must be an integer >= 10, got {self.max_subdivisions}")
 
     def tolerance(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
+        return self.rel_tol * abs(scale)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -218,6 +213,8 @@ def _euler_weights(n: int) -> np.ndarray:
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _GL16 = np.polynomial.legendre.leggauss(16)
+# half-period GL16 panels in the tail of the oscillatory grid
+_TAIL_PANELS = 64
 
 
 def _head_edges(cut: float) -> np.ndarray:
@@ -232,11 +229,11 @@ def _head_edges(cut: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _oscillatory_grid(b: float, n_tail_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and folded (nx, 3) weights of the batched scheme.
+def _oscillatory_grid(b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and folded (nx, 3) weights of the batched scheme at b > 0.
 
     The head [0, pi/b] carries geometric composite GL24 panels, the tail
-    ``n_tail_panels`` GL16 half-period panels aligned to the sine zeros.
+    64 GL16 half-period panels aligned to the sine zeros.
     Everything ``integrate_oscillatory_batch`` does after the envelope is
     evaluated is linear in it, so it is folded into three columns of
     sine-weighted composite weights ``w``:
@@ -248,10 +245,9 @@ def _oscillatory_grid(b: float, n_tail_panels: int) -> tuple[np.ndarray, np.ndar
     - Euler change: -sum_{k<i} E[k, 1] on tail panel i, 0 on the head;
     - last tail panel: its weights alone, for the floor of the estimate.
 
-    With one tail panel the transform is the identity: the value column is
-    all ones and the change column zero. Memoised: the adaptive s integral
-    of one ``d_integral`` call evaluates all its panels at one ``b``. Both
-    arrays are read-only, so an envelope cannot corrupt the cached grid.
+    Memoised: the adaptive s integral of one ``d_integral`` call evaluates
+    all its panels at one ``b``. Both arrays are read-only, so an envelope
+    cannot corrupt the cached grid.
     """
     half_period = np.pi / b
     xg, wg = _GL24
@@ -261,19 +257,18 @@ def _oscillatory_grid(b: float, n_tail_panels: int) -> tuple[np.ndarray, np.ndar
     head_x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     head_w = (half[:, None] * wg[None, :]).ravel()
     xg16, wg16 = _GL16
-    k = np.arange(1, n_tail_panels + 1)
+    k = np.arange(1, _TAIL_PANELS + 1)
     lo = k * half_period
     h = 0.5 * half_period
     tail_x = (lo[:, None] + h * (xg16[None, :] + 1.0)).ravel()
-    tail_w = np.tile(h * wg16, n_tail_panels)
+    tail_w = np.tile(h * wg16, _TAIL_PANELS)
     x = np.concatenate([head_x, tail_x])
     w = np.concatenate([head_w, tail_w]) * np.sin(b * x)
     # per tail panel: value, Euler change and last-panel coefficients
-    panel = np.zeros((n_tail_panels, 3))
+    panel = np.zeros((_TAIL_PANELS, 3))
     panel[:, 0] = 1.0
     panel[-1, 2] = 1.0
-    if n_tail_panels > 1:
-        panel[1:, :2] -= np.cumsum(_euler_weights(n_tail_panels), axis=0)[:-1]
+    panel[1:, :2] -= np.cumsum(_euler_weights(_TAIL_PANELS), axis=0)[:-1]
     coeff = np.concatenate([np.tile([1.0, 0.0, 0.0], (head_x.size, 1)),
                             np.repeat(panel, xg16.size, axis=0)])
     # column-major: each column is one contiguous dot with the envelope
@@ -283,13 +278,13 @@ def _oscillatory_grid(b: float, n_tail_panels: int) -> tuple[np.ndarray, np.ndar
     return x, weights
 
 
-def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: float,
-                                n_tail_panels: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``int_0^inf env(x) sin(b x) dx`` for a family of envelopes.
+def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: float
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``int_0^inf env(x) sin(b x) dx`` for a family of envelopes, b > 0.
 
     ``env(x)`` receives abscissae of shape (nx,) and returns an array whose
     last axis has length nx; leading axes enumerate the family. The head
-    [0, pi/b] uses geometric composite Gauss-Legendre panels, the tail uses
+    [0, pi/b] uses geometric composite Gauss-Legendre panels, the tail 64
     half-period panels aligned to the sine zeros with the alternating partial
     sums accelerated by the Euler transform (see ``_euler_weights``).
     Head sum, partial sums and transform are one fixed linear functional of
@@ -299,15 +294,11 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
     largest of |change|, 1e-6 |last panel| and 100 eps |value|. The envelope
     is evaluated in a single call on the full grid, which is handed to
     ``env`` read-only: an envelope that writes into its argument raises
-    ``ValueError``.
+    ``ValueError``, and so does a b that is not > 0 (nan included).
     """
-    if b < 0.0:
-        raise ValueError("b must be >= 0")
-    if b == 0.0:
-        probe = np.asarray(env(np.array([1.0])), dtype=float)
-        shape = probe.shape[:-1]
-        return np.zeros(shape), np.zeros(shape)
-    x, weights = _oscillatory_grid(b, n_tail_panels)
+    if not b > 0.0:
+        raise ValueError(f"b must be > 0, got {b}")
+    x, weights = _oscillatory_grid(b)
     r = np.asarray(env(x), dtype=float) @ weights
     value = r[..., 0]
     # floor the estimate at the scale of the last alternating term
@@ -327,6 +318,8 @@ def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b
     raises :class:`ConvergenceError` with the value and estimate
     (``subdivisions`` 0). ``b = 0`` is the sine-free case and returns 0.
     """
+    if not b >= 0.0:
+        raise ValueError(f"b must be >= 0, got {b}")
     if b == 0.0:
         return 0.0, 0.0
     value, err = (r.item() for r in integrate_oscillatory_batch(f, b))

@@ -8,9 +8,10 @@ the identity holds bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .constants import BOLTZMANN, HBAR, NEON, Material, mk_to_kelvin
+from .constants import BOLTZMANN, HBAR, mk_to_kelvin
 from .displacement import KernelMode, gamma_displacement
 from .modulation import SubstrateDiagnostics, gamma_modulation, substrate_suppression
 from .numerics import DEFAULT_SPEC, QuadratureSpec
@@ -60,8 +61,7 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     return n
 
 
-def gamma_phi_one_phonon(trap: LateralTrap, material: Material = NEON,
-                         temperature_k: float = 0.0) -> float:
+def gamma_phi_one_phonon(trap: LateralTrap, temperature_k: float = 0.0) -> float:
     """One-phonon pure-dephasing rate: exactly zero.
 
     For the harmonic trap with oscillator lengths a_x, a_y and phonon
@@ -139,9 +139,10 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
 
     Phonon channels carry the stimulated-emission factor (1 + n) with n the
     thermal occupation at the qubit frequency; photon channels are evaluated
-    at zero occupation, where the closed forms below hold exactly. A vacuum
-    or phonon rate that underflows to 0 (tiny f0, e.g. 1e-60 GHz) raises
-    ValueError naming the channel and f0; the cavity rate is 0 at g = 0.
+    at zero occupation, where the closed forms below hold exactly. A bare
+    vacuum or phonon rate below the smallest normal float (tiny f0, e.g.
+    1e-52 GHz) raises ValueError naming the channel and f0; the cavity rate
+    is 0 at g = 0.
     """
     if f0_ghz <= 0.0:
         raise ValueError("f0_ghz must be positive")
@@ -150,18 +151,20 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     n_q = thermal_occupation(trap.omega_x, t_k)
     stim = 1.0 + n_q
 
-    def positive(name: str, gamma: float, err: float = 0.0) -> ChannelRate:
-        # these rates are positive at every f0 > 0, so 0.0 means underflow,
-        # refused before a later channel runs (the modulation envelope
-        # overflows at such f0)
-        if gamma == 0.0:
-            raise ValueError(f"{name} rate underflows to 0 at f0 = {f0_ghz:g} GHz")
-        return ChannelRate.from_gamma(name, gamma, err)
+    def positive(name: str, gamma: float, err: float = 0.0, factor: float = 1.0
+                 ) -> ChannelRate:
+        # these rates are positive at every f0 > 0, so a bare rate that is 0
+        # or subnormal has lost its digits to underflow (the factor 1 + n
+        # would hide that); refused before a later channel runs (the
+        # modulation envelope overflows at such f0)
+        if gamma < sys.float_info.min:
+            raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
+        return ChannelRate.from_gamma(name, factor * gamma, factor * err)
 
     channels = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
     for name, rate in PHONON_RATES.items():
         gamma, err = rate(trap, kernel, spec)
-        channels.append(positive(name, stim * gamma, stim * err))
+        channels.append(positive(name, gamma, err, stim))
     if cavity is not None:
         channels.append(ChannelRate.from_gamma(CHANNEL_CAVITY, gamma_purcell(cavity)))
 

@@ -58,26 +58,24 @@ class BoundState:
 
 @dataclass(frozen=True)
 class LateralTrap:
-    """Harmonic in-plane confinement with the qubit on the x levels.
+    """Isotropic harmonic in-plane confinement with the qubit on the x levels.
 
     Attributes
     ----------
-    omega_x, omega_y : float
-        Angular trap frequencies, rad/s. The transition of interest is
-        0 -> 1 along x.
+    omega_x : float
+        Angular trap frequency, rad/s, the same along x and y. The transition
+        of interest is 0 -> 1 along x.
     """
 
     omega_x: float
-    omega_y: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.omega_x < math.inf and 0.0 < self.omega_y < math.inf):
-            raise ValueError("trap frequencies must be positive and finite")
+        if not 0.0 < self.omega_x < math.inf:
+            raise ValueError("trap frequency must be positive and finite")
 
     @classmethod
     def isotropic_ghz(cls, f0_ghz: float) -> "LateralTrap":
-        w = ghz_to_rad_s(f0_ghz)
-        return cls(omega_x=w, omega_y=w)
+        return cls(omega_x=ghz_to_rad_s(f0_ghz))
 
     @property
     def length_x(self) -> float:

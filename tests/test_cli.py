@@ -155,14 +155,25 @@ def test_main_refuses_an_overflowing_rate(capfd):
     (["rates", "--f0-ghz", "1e-60"], "displacement", "1e-60"),
     (["rates", "--f0-ghz", "1e-300"], "vacuum", "1e-300"),
     (["sweep", "--from", "1e-300", "--to", "1", "--points", "2"], "vacuum", "1e-300"),
+    (["rates", "--f0-ghz", "1e-52"], "displacement", "1e-52"),
+    (["rates", "--f0-ghz", "3e-54"], "displacement", "3e-54"),
 ])
 def test_main_refuses_an_underflowed_rate(argv, channel, f0, capfd):
-    # a rate of exactly 0 would print T1 = inf; it is refused at the first
-    # channel that underflows, before the modulation envelope overflows
+    # a bare rate of 0 would print T1 = inf, a subnormal one a value without
+    # its digits (1 + n, ~1e52 here, makes it look normal); it is refused at
+    # the first channel that underflows, before the modulation envelope
+    # overflows
     assert main(argv + ["--format", "csv"]) == 1
     out, err = capfd.readouterr()
     assert out == ""
-    assert err == f"error: {channel} rate underflows to 0 at f0 = {f0} GHz\n"
+    assert err == f"error: {channel} rate underflows at f0 = {f0} GHz\n"
+
+
+def test_main_keeps_a_normal_bare_rate(capfd):
+    # the bare displacement rate at 1e-50 GHz is ~4e-300, still normal
+    assert main(["rates", "--f0-ghz", "1e-50", "--format", "csv"]) == 0
+    rows = capfd.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows] == ["channel", "vacuum", "displacement", "modulation"]
 
 
 @pytest.mark.parametrize("argv", [

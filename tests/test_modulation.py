@@ -18,7 +18,7 @@ from necoh.surface import BoundState, LateralTrap
 
 from _oracles import d_closed, f_kernel_quad
 
-FAST_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=0.0, max_subdivisions=400)
+FAST_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +87,6 @@ def test_rate_requires_density():
         gamma_modulation(trap, material=SILICON)
 
 
-def test_rate_requires_isotropic_trap():
-    with pytest.raises(ValueError):
-        gamma_modulation(LateralTrap(1.0e10, 1.1e10))
-
-
 def test_substrate_suppression_operating_point():
     trap = LateralTrap.isotropic_ghz(6.4)
     rows = substrate_suppression(trap)
@@ -109,15 +104,16 @@ def test_substrate_suppression_operating_point():
 
 
 def test_no_suppression_for_soft_host():
-    # inside the host itself the phonon wavenumber exceeds the electron's
-    trap = LateralTrap.isotropic_ghz(6.4)
-    row, = substrate_suppression(trap, (NEON,))
-    assert row.wavenumber_ratio < 1.0
-    assert row.suppressed is False
+    # at 100 GHz the phonon wavenumber of either substrate comes within the
+    # suppression threshold of the electron's
+    rows = substrate_suppression(LateralTrap.isotropic_ghz(100.0))
+    assert [r.wavenumber_ratio for r in rows] == pytest.approx([0.994, 1.331], rel=1e-3)
+    for row in rows:
+        assert row.suppressed is False
 
 
 def test_convergence_error_names_channel_and_frequency():
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=10)
+    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=10)
     with pytest.raises(ConvergenceError) as info:
         gamma_modulation(LateralTrap.isotropic_ghz(6.4), spec=spec)
     exc = info.value

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import necoh
 from necoh.numerics import (
     DEFAULT_SPEC,
     EULER_GAMMA,
@@ -25,6 +26,7 @@ from necoh.numerics import (
     integrate_oscillatory_batch,
     integrate_semi_infinite,
     integrate_semi_infinite_oscillatory,
+    _TAIL_PANELS,
     _euler_weights,
     u_p,
 )
@@ -95,7 +97,7 @@ def test_semi_infinite_second_moment():
 
 
 def test_convergence_error_carries_partial_state():
-    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=10)
+    spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=10)
     with pytest.raises(ConvergenceError) as info:
         integrate_adaptive(lambda x: x ** -0.9, 0.0, 1.0, spec)
     exc = info.value
@@ -111,17 +113,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.5)
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=5)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=10.5)
 
 
 def test_spec_tolerance_floor():
-    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12)
+    spec = QuadratureSpec(rel_tol=1e-6)
     assert spec.tolerance(2.0) == 2e-6
-    assert spec.tolerance(1e-9) == 1e-12
     assert spec.tolerance(-3.0) == 3e-6
 
 
@@ -251,7 +250,8 @@ def test_euler_accelerates_alternating_harmonic_series_to_ln2():
 _S_NODES = np.geomspace(0.02, 30.0, 15)
 
 
-@pytest.mark.parametrize("n_tail_panels", [1, 2, 3, 7, 64])
+# the oracle takes the tail panel count that production fixes
+@pytest.mark.parametrize("n_tail_panels", [_TAIL_PANELS])
 @pytest.mark.parametrize("env", [
     lambda x: 1.0 / (1.0 + x) ** 2,
     lambda x: (np.exp(-0.3 * x) / (1.0 + x))[None, :],
@@ -264,7 +264,7 @@ def test_oscillatory_batch_folded_weights_match_unfolded_sums(env, n_tail_panels
     # on this grid, the unfolded sums within 1 ulp. The unfolded change is a
     # difference of partial sums, so it carries rounding at their scale.
     for b in np.geomspace(1e-4, 5.0, 25):
-        value, err = integrate_oscillatory_batch(env, float(b), n_tail_panels)
+        value, err = integrate_oscillatory_batch(env, float(b))
         want_value, want_err, scale = oscillatory_batch_unfolded(env, float(b), n_tail_panels)
         ulp = np.spacing(scale)
         assert value.shape == err.shape == want_value.shape
@@ -294,6 +294,12 @@ def test_oscillatory_batch_grid_is_read_only():
     got = integrate_oscillatory_batch(lambda x: np.exp(-x)[None, :], b)
     for a, c in zip(want, got):
         assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+def test_oscillatory_batch_rejects_frequency_not_above_zero(b):
+    with pytest.raises(ValueError, match="b must be > 0"):
+        integrate_oscillatory_batch(lambda x: np.exp(-x)[None, :], b)
 
 
 def test_oscillatory_zero_frequency_is_exact_zero():
@@ -360,3 +366,16 @@ def test_u_p_positive_and_decreasing():
     vals = np.asarray(u_p(grid), dtype=float)
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
+
+
+# --- package namespace ---
+
+def test_package_exports():
+    for name in necoh.__all__:
+        assert hasattr(necoh, name), name
+    # checked by the tests, called by no rate: importable from
+    # necoh.numerics, not exported by the package
+    for name in ("bessel_k1", "u_p", "integrate_semi_infinite",
+                 "integrate_semi_infinite_oscillatory"):
+        assert name not in necoh.__all__ and not hasattr(necoh, name), name
+        assert callable(getattr(necoh.numerics, name)), name

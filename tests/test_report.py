@@ -18,7 +18,7 @@ from necoh.report import (
 )
 from necoh.surface import LateralTrap
 
-FAST_SPEC = QuadratureSpec(rel_tol=1e-7, abs_tol=0.0, max_subdivisions=400)
+FAST_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_displacement_channel_properties(f0, t_mk, kernel):
     assert math.isfinite(stim * gamma) and stim * gamma > 0.0
     ch = ChannelRate.from_gamma("displacement", stim * gamma, stim * err)
     assert ch.t2 == 2.0 * ch.t1
-    doubled = LateralTrap(2.0 * trap.omega_x, 2.0 * trap.omega_y)
+    doubled = LateralTrap(2.0 * trap.omega_x)
     assert gamma_vacuum(doubled) / gamma_vacuum(trap) == pytest.approx(4.0, rel=1e-14)
 
 
