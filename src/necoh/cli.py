@@ -236,6 +236,16 @@ _fmt9 = "{:.8e}".format
 _fmt13 = "{:.12e}".format
 
 
+def _fmt_ratio(ratio: float) -> str:
+    """Table cell of a substrate wavenumber ratio, at most 8 characters wide.
+
+    Three decimals while they fit (ratio below 1e4), else ``%.2e``, so the
+    cell never runs into the column before it.
+    """
+    cell = f"{ratio:.3f}"
+    return cell if len(cell) <= 8 else f"{ratio:.2e}"
+
+
 # one row per channel: its rate and lifetimes, keyed as in `rates` output; a
 # sweep spreads the same three numbers over columns "<quantity>_<channel tag>"
 _RATE_KEYS = ("gamma_per_s", "t1_s", "t2_s")
@@ -327,7 +337,7 @@ def render_rates(rep: CoherenceReport, fmt: str) -> str:
     for sub in rep.substrates:
         lines.append(f"{sub.material:<12}{_fmt9(sub.phonon_wavenumber * 100.0):>17}"
                      f"{_fmt9(sub.electron_wavenumber * 100.0):>18}"
-                     f"{sub.wavenumber_ratio:>9.3f}  {'yes' if sub.suppressed else 'no'}")
+                     f"{_fmt_ratio(sub.wavenumber_ratio):>9}  {'yes' if sub.suppressed else 'no'}")
     if note is not None:
         lines.extend(("", note))
     return "\n".join(lines) + "\n"

@@ -23,9 +23,10 @@ from .surface import BoundState, LateralTrap
 ENDPOINT_INSET = 1e-12
 
 # <u_p> is (1/2) sum_k x^k / (2k + 3) in x = 1 - eta^2/4; used for |x| below
-# _SERIES_X (eta in 1.73-2.24), where 28 terms reach 0.25^28 ~ 1e-17
+# _SERIES_X (eta in 1.73-2.24), where 28 terms reach 0.25^28 ~ 1e-17;
+# coefficients highest power first, as np.polyval takes them
 _SERIES_X = 0.25
-_SERIES_COEFFS = 0.5 / (2.0 * np.arange(28) + 3.0)
+_SERIES_COEFFS = 0.5 / (2.0 * np.arange(27, -1, -1) + 3.0)
 
 
 class KernelMode(enum.Enum):
@@ -72,7 +73,7 @@ def u_p_average(eta) -> np.ndarray:
         vals[above] = (np.arctan(ya) / ya - 1.0) / (2.0 * x[above])
     near = ~(below | above)
     if np.any(near):
-        vals[near] = np.polynomial.polynomial.polyval(x[near], _SERIES_COEFFS)
+        vals[near] = np.polyval(_SERIES_COEFFS, x[near])
     if arr.ndim == 0:
         return float(vals)
     return vals

@@ -211,8 +211,34 @@ def _euler_weights(n: int) -> np.ndarray:
     return w
 
 
-_GL24 = np.polynomial.legendre.leggauss(24)
-_GL16 = np.polynomial.legendre.leggauss(16)
+def _mirror(x_half: list[float], w_half: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of an even-order Gauss-Legendre rule on [-1, 1].
+
+    ``x_half`` lists its positive nodes from the outside in and ``w_half``
+    their weights; the rule is symmetric about 0.
+    """
+    x, w = np.array(x_half), np.array(w_half)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+# Gauss-Legendre rules of the oscillatory grid. The values are exactly the
+# float64 output of numpy.polynomial.legendre.leggauss(24) and leggauss(16),
+# written as their shortest repr; that output is exactly symmetric, so the
+# mirrored tables are bit-identical to it, which
+# tests/test_numerics.py::test_gauss_legendre_tables_match_leggauss pins.
+# Constants spare every process the numpy.polynomial import and two eigensolves.
+_GL24 = _mirror(
+    [0.9951872199970213, 0.9747285559713095, 0.9382745520027328, 0.8864155270044011,
+     0.820001985973903, 0.7401241915785544, 0.6480936519369755, 0.5454214713888396,
+     0.4337935076260451, 0.3150426796961634, 0.1911188674736163, 0.06405689286260563],
+    [0.01234122979998869, 0.02853138862893356, 0.04427743881741941, 0.05929858491543636,
+     0.07334648141108016, 0.0861901615319532, 0.09761865210411393, 0.10744427011596556,
+     0.11550566805372552, 0.1216704729278033, 0.12583745634682825, 0.12793819534675202])
+_GL16 = _mirror(
+    [0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
+     0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744],
+    [0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+     0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864])
 # half-period GL16 panels in the tail of the oscillatory grid
 _TAIL_PANELS = 64
 

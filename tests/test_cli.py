@@ -250,6 +250,25 @@ def test_rates_json_shape():
     assert any("discrepancy" in note for note in obj["notes"])
 
 
+@pytest.mark.parametrize("f0", [1e-8, 1e-50])
+def test_rates_table_ratio_keeps_its_column(f0):
+    # from 1e4 up the ratio cell switches to an exponent form, which stays
+    # clear of k_electron_per_m down to the lowest f0 the rates allow
+    tables = {}
+    for fmt in ("table", "json"):
+        buf = io.StringIO()
+        assert cmd_rates(RunConfig(f0_ghz=f0, format=fmt), out=buf) == 0
+        tables[fmt] = buf.getvalue()
+    rows = [line.split() for line in tables["table"].splitlines()
+            if line.startswith(("silicon", "sapphire"))]
+    want = {s["material"]: s["wavenumber_ratio"]
+            for s in json.loads(tables["json"])["substrates"]}
+    assert [row[0] for row in rows] == list(want)
+    for material, _k_phonon, _k_electron, ratio, suppressed in rows:
+        assert float(ratio) == pytest.approx(want[material], rel=1e-2)
+        assert float(ratio) >= 1e4 and suppressed == "yes"
+
+
 def test_sweep_csv_written_under_env_dir(tmp_path, monkeypatch, capfd):
     monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
     code = main(["sweep", "--from", "2", "--to", "2", "--points", "1",
@@ -314,34 +333,36 @@ def test_cli_flags_override_config_file(tmp_path, capfd):
     assert out.startswith("f0 = 1 GHz")
 
 
-# Runs in a fresh interpreter: lists the scipy modules loaded after
-# ``import necoh``, after ``import necoh.cli`` and after four CLI commands,
-# with the exit code of each command.
-_SCIPY_PROBE = """
+# Runs in a fresh interpreter: lists the scipy and numpy.polynomial modules
+# loaded after ``import necoh``, after ``import necoh.cli`` and after four CLI
+# commands, with the exit code of each command.
+_STARTUP_PROBE = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 
 import necoh
-seen = {"import necoh": scipy_modules()}
+seen = {"import necoh": unwanted_modules()}
 from necoh.cli import main
-seen["import necoh.cli"] = scipy_modules()
+seen["import necoh.cli"] = unwanted_modules()
 codes = []
 for argv in (["rates", "--kernel", "approx"], ["rates", "--kernel", "exact"],
              ["sweep", "--points", "2", "--kernel", "exact"],
              ["reproduce", "--table", "1", "--kernel", "exact"]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-seen["commands"] = scipy_modules()
+seen["commands"] = unwanted_modules()
 print(json.dumps({"seen": seen, "codes": codes}))
 """
 
 
 def test_rate_paths_leave_scipy_unloaded():
     # scipy.special alone costs ~0.4 s of start-up; only bessel_k1 and u_p,
-    # which no rate calls, import it
-    res = _run_python("-c", _SCIPY_PROBE)
+    # which no rate calls, import it. numpy.polynomial (~1.3 MiB of peak RSS)
+    # is not needed at all: the Gauss-Legendre rules are constants
+    res = _run_python("-c", _STARTUP_PROBE)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
     assert out["codes"] == [0, 0, 0, 1]  # table 1 follows the log kernel

@@ -52,10 +52,18 @@ def test_u_p_average_matches_direct_quadrature(eta):
 
 
 def test_u_p_average_vectorized():
-    etas = np.array([1e-4, 1e-2, 0.3])
-    vals = u_p_average(etas)
-    assert vals.shape == etas.shape
-    assert np.all(np.diff(vals) < 0.0)
+    around_two = np.linspace(1.70, 2.30, 61)
+    for etas in (np.array([1e-4, 1e-2, 0.3]), around_two):
+        vals = u_p_average(etas)
+        assert vals.shape == etas.shape
+        assert np.all(np.diff(vals) < 0.0)
+    # where |x| < 1/4 the value is the 28-term series (1/2) sum_k x^k / (2k + 3),
+    # bit for bit as numpy.polynomial sums it
+    x = (1.0 - 0.5 * around_two) * (1.0 + 0.5 * around_two)
+    near = np.abs(x) < 0.25
+    assert near.sum() > 40
+    series = np.polynomial.polynomial.polyval(x[near], 0.5 / (2.0 * np.arange(28) + 3.0))
+    assert np.array_equal(u_p_average(around_two)[near], series)
 
 
 def test_u_p_average_keeps_shape_and_rejects_nonpositive():

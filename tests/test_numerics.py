@@ -26,6 +26,8 @@ from necoh.numerics import (
     integrate_oscillatory_batch,
     integrate_semi_infinite,
     integrate_semi_infinite_oscillatory,
+    _GL16,
+    _GL24,
     _TAIL_PANELS,
     _euler_weights,
     u_p,
@@ -42,6 +44,13 @@ def test_weights_sum_to_interval_length():
     # the published 16-digit literals truncate; a few 1e-15 accumulate
     assert math.fsum(GK15_KRONROD_WEIGHTS) == pytest.approx(2.0, abs=1e-13)
     assert math.fsum(GK15_GAUSS_WEIGHTS) == pytest.approx(2.0, abs=1e-13)
+
+
+def test_gauss_legendre_tables_match_leggauss():
+    # the oscillatory grid's rules are constants, bit-identical to numpy's
+    for table, n in ((_GL24, 24), (_GL16, 16)):
+        for got, want in zip(table, np.polynomial.legendre.leggauss(n), strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_kronrod_rule_exact_through_degree_22():
