@@ -38,7 +38,7 @@ ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
 
 # formatted output carries 13 significant digits but the physics tolerances
 # are percent-level; 1e-7 keeps the sweep comfortably inside its time budget
-CLI_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
+CLI_SPEC = QuadratureSpec(rel_tol=1e-7)
 
 _FORMATS = ("table", "csv", "json")
 _KERNELS = tuple(m.value for m in KernelMode)
@@ -76,7 +76,6 @@ class RunConfig:
     tol: float = 0.03
     table: int = 1
     output: str | None = None
-    output_dir: str | None = None
 
     def validate(self) -> None:
         for key, flag in _FINITE_FLAGS.items():
@@ -358,12 +357,11 @@ def cmd_rates(cfg: RunConfig, out=None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    grid = ([cfg.from_ghz] if cfg.points == 1
-            else list(np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)))
+    grid = np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)
     text = render_sweep(sweep(grid, **_report_options(cfg)), cfg.format)
     if cfg.output:
         # os.path.join drops the base directory when --output is absolute
-        base = cfg.output_dir or os.environ.get(ENV_OUTPUT_DIR) or "."
+        base = os.environ.get(ENV_OUTPUT_DIR) or "."
         path = os.path.join(base, cfg.output)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

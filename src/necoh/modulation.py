@@ -78,8 +78,7 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
     beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
     pref = (8.0 * state.rydberg ** 2 * w0 ** 4
             / (np.pi * ELECTRON_MASS * material.density * c ** 7))
-    inner_spec = QuadratureSpec(rel_tol=max(1e-10, 0.01 * spec.rel_tol),
-                                max_subdivisions=spec.max_subdivisions)
+    inner_spec = QuadratureSpec(rel_tol=max(1e-10, 0.01 * spec.rel_tol))
     inner_err = [0.0]
 
     def integrand(g: np.ndarray) -> np.ndarray:

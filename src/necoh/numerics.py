@@ -2,10 +2,10 @@
 
 All integrators take vectorized callables: the integrand receives a numpy
 array of abscissae and must return an array of the same shape. Every routine
-returns a ``(value, error_estimate)`` pair. Accuracy targets come from a
-:class:`QuadratureSpec`; an error estimate that misses it (the adaptive
-routines out of subdivisions, or the fixed oscillatory grid too coarse)
-raises :class:`ConvergenceError` carrying the best estimate obtained.
+returns a ``(value, error_estimate)`` pair. The accuracy target is the one
+relative tolerance of a :class:`QuadratureSpec`; an error estimate that misses
+it (the adaptive routines after 200 bisections, or the fixed oscillatory grid
+too coarse) raises :class:`ConvergenceError` carrying the best estimate.
 """
 from __future__ import annotations
 
@@ -20,6 +20,8 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015329
 
 _EPS = float(np.finfo(float).eps)
+# bisections after which integrate_adaptive gives up; no rate needs over 16
+_MAX_BISECTIONS = 200
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XK_HALF = np.array([
@@ -58,25 +60,19 @@ GK15_GAUSS_WEIGHTS = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy budget for an adaptive integration.
+    """Accuracy target of an integration: one relative tolerance.
 
     Parameters
     ----------
     rel_tol : float
         Relative tolerance, in (0, 1e-2].
-    max_subdivisions : int
-        Bisection budget, >= 10.
     """
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-2):
             raise ValueError(f"rel_tol must be in (0, 1e-2], got {self.rel_tol}")
-        if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 10:
-            raise ValueError(
-                f"max_subdivisions must be an integer >= 10, got {self.max_subdivisions}")
 
     def tolerance(self, scale: float) -> float:
         return self.rel_tol * abs(scale)
@@ -88,27 +84,25 @@ DEFAULT_SPEC = QuadratureSpec()
 class ConvergenceError(Exception):
     """Raised when a quadrature's error estimate misses its spec.
 
+    The adaptive routines raise it after ``_MAX_BISECTIONS`` bisections, the
+    fixed oscillatory grid at once.
+
     Attributes
     ----------
     estimate : float
         Best integral estimate at the point of failure.
     error_estimate : float
         Error estimate attached to `estimate`.
-    subdivisions : int
-        Number of bisections performed (0 for the fixed oscillatory grid).
     """
 
-    def __init__(self, message: str, estimate: float, error_estimate: float,
-                 subdivisions: int) -> None:
+    def __init__(self, message: str, estimate: float, error_estimate: float) -> None:
         super().__init__(message)
         self.estimate = estimate
         self.error_estimate = error_estimate
-        self.subdivisions = subdivisions
 
     def within(self, context: str) -> ConvergenceError:
         """The same failure with ``context`` (e.g. the channel) leading the message."""
-        return ConvergenceError(f"{context}: {self}", self.estimate, self.error_estimate,
-                                self.subdivisions)
+        return ConvergenceError(f"{context}: {self}", self.estimate, self.error_estimate)
 
 
 def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
@@ -139,7 +133,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi].
 
     The worst panel (largest error estimate) is bisected until the summed
-    error meets ``spec``. Returns ``(value, error_estimate)``.
+    error meets ``spec``, at most ``_MAX_BISECTIONS`` times. Returns
+    ``(value, error_estimate)``.
     """
     if lo == hi:
         return 0.0, 0.0
@@ -152,7 +147,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     # heap of (-err, tiebreak, lo, hi, val)
     heap = [(-err, 0, lo, hi, val)]
     count = 0
-    for n in range(spec.max_subdivisions):
+    for _ in range(_MAX_BISECTIONS):
         if total_err <= spec.tolerance(total_val):
             break
         neg_err, _, plo, phi, pval = heapq.heappop(heap)
@@ -176,7 +171,6 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
                 f"error {total_err:.3e} on value {total_val:.6e}",
                 estimate=sign * total_val,
                 error_estimate=total_err,
-                subdivisions=spec.max_subdivisions,
             )
     return sign * total_val, total_err
 
@@ -341,8 +335,8 @@ def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b
     The scalar case of ``integrate_oscillatory_batch``: one product of ``f``,
     one value per abscissa (else ValueError), with the cached folded weights.
     There is no refinement: an error estimate above ``spec.tolerance(value)``
-    raises :class:`ConvergenceError` with the value and estimate
-    (``subdivisions`` 0). ``b = 0`` is the sine-free case and returns 0.
+    raises :class:`ConvergenceError` with the value and estimate.
+    ``b = 0`` is the sine-free case and returns 0.
     """
     if not b >= 0.0:
         raise ValueError(f"b must be >= 0, got {b}")
@@ -353,7 +347,7 @@ def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b
         raise ConvergenceError(
             f"oscillatory quadrature did not reach tolerance at b = {b}: "
             f"error {err:.3e} on value {value:.6e}",
-            estimate=value, error_estimate=err, subdivisions=0)
+            estimate=value, error_estimate=err)
     return value, err
 
 

@@ -120,6 +120,16 @@ def test_main_reports_config_error_with_line(tmp_path, capfd):
     assert err.startswith("config: line 2:")
 
 
+def test_main_refuses_an_output_folder_key(tmp_path, capfd):
+    # the output folder comes from $NECOH_OUTPUT_DIR only; a config file
+    # cannot set it
+    key = "output" + "_dir"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = x\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capfd.readouterr().err == f"config: line 1: unknown key {key!r}\n"
+
+
 def test_main_rejects_inverted_sweep(capfd):
     assert main(["sweep", "--from", "5", "--to", "2", "--points", "3"]) == 2
     assert "from < to" in capfd.readouterr().err

@@ -11,14 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from necoh.cli import CLI_SPEC
 from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
 from necoh.modulation import d_integral, gamma_modulation, substrate_suppression
-from necoh.numerics import ConvergenceError, QuadratureSpec
+from necoh.numerics import ConvergenceError
 from necoh.surface import BoundState, LateralTrap
 
 from _oracles import d_closed, f_kernel_quad
-
-FAST_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ def test_f_kernel_reduces_to_d_at_small_in_plane_momentum():
 
 def test_rate_operating_point():
     trap = LateralTrap.isotropic_ghz(6.4)
-    gam, err = gamma_modulation(trap, spec=FAST_SPEC)
+    gam, err = gamma_modulation(trap, spec=CLI_SPEC)
     assert gam == pytest.approx(887.4502, rel=1e-4)
     assert err >= 0.0
     assert err / gam < 1e-5
@@ -77,7 +76,7 @@ def test_rate_full_chain_cross_check(state):
         w_i * u2_i * math.exp(-beta * u2_i) * d_closed(alpha * math.sqrt(u2_i)) ** 2
         for w_i, u2_i in zip(weights, u2))
     want = pref * total
-    got, _ = gamma_modulation(trap, spec=FAST_SPEC)
+    got, _ = gamma_modulation(trap, spec=CLI_SPEC)
     assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -112,14 +111,17 @@ def test_no_suppression_for_soft_host():
         assert row.suppressed is False
 
 
-def test_convergence_error_names_channel_and_frequency():
-    spec = QuadratureSpec(rel_tol=1e-12, max_subdivisions=10)
+def test_convergence_error_names_channel_and_frequency(monkeypatch):
+    # a stub stands in for the 200 real bisections, which would take seconds
+    inner = ConvergenceError("adaptive quadrature did not reach tolerance", 1.5, 0.25)
+
+    def give_up(*args, **kwargs):
+        raise inner
+
+    monkeypatch.setattr("necoh.modulation.integrate_adaptive", give_up)
     with pytest.raises(ConvergenceError) as info:
-        gamma_modulation(LateralTrap.isotropic_ghz(6.4), spec=spec)
+        gamma_modulation(LateralTrap.isotropic_ghz(6.4), spec=CLI_SPEC)
     exc = info.value
     assert str(exc).startswith("modulation channel at 6.400 GHz: adaptive quadrature")
-    inner = exc.__cause__
-    assert isinstance(inner, ConvergenceError)
-    assert (exc.estimate, exc.error_estimate, exc.subdivisions) == (
-        inner.estimate, inner.error_estimate, inner.subdivisions)
-    assert exc.subdivisions == 10 and exc.error_estimate > 0.0
+    assert exc.__cause__ is inner
+    assert (exc.estimate, exc.error_estimate) == (1.5, 0.25)

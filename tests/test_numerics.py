@@ -5,6 +5,7 @@ oracle in _oracles.py, which shares no code path with the production
 routine.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import necoh
+from necoh import displacement, modulation
+from necoh.cli import CLI_SPEC
 from necoh.numerics import (
     DEFAULT_SPEC,
     EULER_GAMMA,
@@ -28,10 +31,12 @@ from necoh.numerics import (
     integrate_semi_infinite_oscillatory,
     _GL16,
     _GL24,
+    _MAX_BISECTIONS,
     _TAIL_PANELS,
     _euler_weights,
     u_p,
 )
+from necoh.surface import LateralTrap
 
 from _oracles import euler_average, h_closed, k1_reference, oscillatory_batch_unfolded
 
@@ -106,14 +111,54 @@ def test_semi_infinite_second_moment():
 
 
 def test_convergence_error_carries_partial_state():
-    spec = QuadratureSpec(rel_tol=1e-9, max_subdivisions=10)
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return x ** -0.9
+
     with pytest.raises(ConvergenceError) as info:
-        integrate_adaptive(lambda x: x ** -0.9, 0.0, 1.0, spec)
+        integrate_adaptive(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-9))
     exc = info.value
-    assert exc.subdivisions == 10
+    # one panel, then two per bisection up to the fixed budget
+    assert calls[0] == 1 + 2 * _MAX_BISECTIONS
     assert exc.error_estimate > 0.0
     # int_0^1 x^-0.9 = 10; the partial estimate should be in the vicinity
     assert 5.0 < exc.estimate < 11.0
+
+
+def test_rates_stay_far_inside_the_bisection_budget(monkeypatch):
+    # every integrate_adaptive call of a rate, nested ones included, counted
+    # through its own integrand: 1 + 2 n calls are n bisections
+    bisections = []
+
+    def counted(f, *args):
+        calls = [0]
+
+        def g(x):
+            calls[0] += 1
+            return f(x)
+
+        try:
+            return integrate_adaptive(g, *args)
+        finally:
+            bisections.append((calls[0] - 1) // 2)
+
+    monkeypatch.setattr(displacement, "integrate_adaptive", counted)
+    monkeypatch.setattr(modulation, "integrate_adaptive", counted)
+    limit = displacement.log_kernel_limit_ghz()
+    for f0 in np.geomspace(1e-4, 1e3):
+        trap = LateralTrap.isotropic_ghz(float(f0))
+        for spec in (DEFAULT_SPEC, CLI_SPEC):
+            for mode in displacement.KernelMode:
+                if mode is displacement.KernelMode.EXACT or f0 < limit:
+                    displacement.gamma_displacement(trap, mode=mode, spec=spec)
+    n_displacement = len(bisections)
+    for f0 in (1.0, 6.4, 10.0):
+        modulation.gamma_modulation(LateralTrap.isotropic_ghz(f0), spec=CLI_SPEC)
+    assert n_displacement > 100 and len(bisections) > n_displacement
+    # these rates take 13 at most; no rate measured took more than 16
+    assert max(bisections) <= 32 < _MAX_BISECTIONS
 
 
 def test_spec_validation():
@@ -121,10 +166,7 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=5)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=10.5)
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol"]
 
 
 def test_spec_tolerance_floor():
@@ -188,7 +230,6 @@ def test_oscillatory_scalar_error_bar_is_honest(family, spec):
         try:
             got, err = integrate_semi_infinite_oscillatory(f, float(b), spec)
         except ConvergenceError as exc:
-            assert exc.subdivisions == 0
             assert abs(exc.estimate - want) <= exc.error_estimate, b
         else:
             assert abs(got - want) <= err <= spec.tolerance(got), (b, got, want, err)

@@ -7,7 +7,6 @@ from necoh.cli import CLI_SPEC
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
 from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
-from necoh.numerics import QuadratureSpec
 from necoh.photon import CavityParams, gamma_vacuum
 from necoh.report import (
     ChannelRate,
@@ -18,8 +17,6 @@ from necoh.report import (
 )
 from necoh.surface import LateralTrap
 
-FAST_SPEC = QuadratureSpec(rel_tol=1e-7, max_subdivisions=400)
-
 
 @pytest.fixture(scope="module")
 def cavity():
@@ -28,7 +25,7 @@ def cavity():
 
 @pytest.fixture(scope="module")
 def report(cavity):
-    return build_report(6.4, temperature_mk=10.0, cavity=cavity, spec=FAST_SPEC)
+    return build_report(6.4, temperature_mk=10.0, cavity=cavity, spec=CLI_SPEC)
 
 
 def test_thermal_occupation_zero_temperature():
@@ -148,8 +145,8 @@ def test_report_photon_channels_at_zero_occupation(report, cavity):
 def test_report_phonon_channels_carry_stimulation(report):
     trap = LateralTrap.isotropic_ghz(6.4)
     stim = 1.0 + report.occupation
-    bare_dis, _ = gamma_displacement(trap, spec=FAST_SPEC)
-    bare_mod, _ = gamma_modulation(trap, spec=FAST_SPEC)
+    bare_dis, _ = gamma_displacement(trap, spec=CLI_SPEC)
+    bare_mod, _ = gamma_modulation(trap, spec=CLI_SPEC)
     assert report.channel("displacement").gamma == stim * bare_dis
     assert report.channel("modulation").gamma == stim * bare_mod
 
@@ -167,9 +164,9 @@ def test_report_t2_doubling_every_channel(report):
 
 
 def test_report_zero_temperature_matches_bare_rates():
-    rep = build_report(2.0, temperature_mk=0.0, spec=FAST_SPEC)
+    rep = build_report(2.0, temperature_mk=0.0, spec=CLI_SPEC)
     trap = LateralTrap.isotropic_ghz(2.0)
-    bare, _ = gamma_displacement(trap, spec=FAST_SPEC)
+    bare, _ = gamma_displacement(trap, spec=CLI_SPEC)
     assert rep.occupation == 0.0
     assert rep.channel("displacement").gamma == bare
 
@@ -187,6 +184,6 @@ def test_report_rejects_nonpositive_frequency():
 
 
 def test_sweep_preserves_order():
-    reports = sweep([3.0, 1.5], spec=FAST_SPEC)
+    reports = sweep([3.0, 1.5], spec=CLI_SPEC)
     assert [r.f0_ghz for r in reports] == [3.0, 1.5]
     assert reports[0].channel("modulation").gamma > reports[1].channel("modulation").gamma
