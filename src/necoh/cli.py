@@ -32,7 +32,7 @@ from .photon import CavityParams
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
 from .report import (CHANNEL_CAVITY, CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, PHONON_RATES,
                      ChannelRate, CoherenceReport, build_report, sweep)
-from .surface import LateralTrap
+from .surface import VERTICAL_LIMIT_GHZ, LateralTrap
 
 ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
 
@@ -99,15 +99,18 @@ class RunConfig:
             raise UsageError("tol must be in (0, 1)")
         if self.table not in _REFERENCE_TABLES:
             raise UsageError("table must be 1 or 2")
-        if self.kernel == KernelMode.LOG_APPROX.value:
-            # a one-point sweep runs at --from only
-            keys = ["f0_ghz", "from_ghz"] + (["to_ghz"] if self.points > 1 else [])
-            for key in keys:
-                if getattr(self, key) >= _LOG_KERNEL_LIMIT_GHZ:
-                    raise UsageError(
-                        f"{_FINITE_FLAGS[key]} must be below {_LOG_KERNEL_LIMIT_GHZ:.1f} GHz "
-                        f"with --kernel approx, where the log kernel holds: "
-                        f"got {getattr(self, key)!r} (use --kernel exact)")
+        # a one-point sweep runs at --from only
+        for key in ["f0_ghz", "from_ghz"] + (["to_ghz"] if self.points > 1 else []):
+            flag, value = _FINITE_FLAGS[key], getattr(self, key)
+            if self.kernel == KernelMode.LOG_APPROX.value and value >= _LOG_KERNEL_LIMIT_GHZ:
+                raise UsageError(
+                    f"{flag} must be below {_LOG_KERNEL_LIMIT_GHZ:.1f} GHz "
+                    f"with --kernel approx, where the log kernel holds: "
+                    f"got {value!r} (use --kernel exact)")
+            if value >= VERTICAL_LIMIT_GHZ:
+                raise UsageError(
+                    f"{flag} must be below {VERTICAL_LIMIT_GHZ:.1f} GHz, the vertical "
+                    f"1 -> 2 spacing 3R/(4h), where the model holds: got {value!r}")
 
 
 # config keys with their parsers, one per RunConfig field; the annotations are

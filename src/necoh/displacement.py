@@ -11,16 +11,12 @@ available as an alternative mode.
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 import numpy as np
 
-from .constants import ELECTRON_MASS, HBAR, NEON, Material
+from .constants import ELECTRON_MASS, NEON, Material
 from .numerics import DEFAULT_SPEC, ConvergenceError, QuadratureSpec, integrate_adaptive
-from .surface import BoundState, LateralTrap
-
-# inset keeping the log kernel finite at the gamma = 1 endpoint
-ENDPOINT_INSET = 1e-12
+from .surface import BoundState, LateralTrap, phonon_kinematics
 
 # <u_p> is (1/2) sum_k x^k / (2k + 3) in x = 1 - eta^2/4; used for |x| below
 # _SERIES_X (eta in 1.73-2.24), where 28 terms reach 0.25^28 ~ 1e-17;
@@ -79,6 +75,13 @@ def u_p_average(eta) -> np.ndarray:
     return vals
 
 
+# squared vertical kernel k(eta)^2 of each mode
+_KERNEL_SQ = {
+    KernelMode.LOG_APPROX: lambda eta: np.log(eta) ** 2,
+    KernelMode.EXACT: lambda eta: 4.0 * u_p_average(eta) ** 2,
+}
+
+
 def log_kernel_limit_ghz() -> float:
     """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1 in neon.
 
@@ -99,34 +102,24 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
 
     with g the direction cosine to the surface normal, eta = (w0/c) r_B
     sqrt(1-g^2), beta = hbar w0 / (2 m_e c^2), and k the squared-kernel log
-    (or exact u_p average, per ``mode``). The gamma = 1 endpoint is inset by
-    1e-12 to keep the log finite. The log kernel needs eta < 1 over the whole
-    range, i.e. alpha < 1 (f0 below ``log_kernel_limit_ghz``); beyond that
-    LOG_APPROX raises ValueError. A ConvergenceError names the channel and
-    the trap frequency.
+    (or exact u_p average, per ``mode``). The GK15 nodes are interior, so no
+    node lands on eta = 0 at g = 1. The log kernel needs eta < 1 over the
+    whole range, i.e. alpha < 1 (f0 below ``log_kernel_limit_ghz``); beyond
+    that LOG_APPROX raises ValueError. A ConvergenceError names the channel
+    and the trap frequency.
     """
-    if material.density is None:
-        raise ValueError(f"{material.name} has no density set")
-    if state is None:
-        state = BoundState.for_material(material)
+    state, alpha, beta = phonon_kinematics(trap, material, state)
     w0 = trap.omega_x
     c = material.sound_speed
     r_b = state.bohr_radius
-    alpha = w0 / c * r_b
-    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
     pref = (state.rydberg ** 2 * r_b ** 2 * w0 ** 6
             / (8.0 * np.pi * ELECTRON_MASS * material.density * c ** 9))
-
-    kernel_sq: Callable[[np.ndarray], np.ndarray]
-    if mode is KernelMode.LOG_APPROX:
-        if alpha >= 1.0:
-            raise ValueError(f"logarithmic kernel requires q r_B < 1: alpha = {alpha:.4g} "
-                             f"at {w0 / (2e9 * np.pi):.3f} GHz (use the exact kernel)")
-        kernel_sq = lambda eta: np.log(eta) ** 2
-    elif mode is KernelMode.EXACT:
-        kernel_sq = lambda eta: 4.0 * u_p_average(eta) ** 2
-    else:
+    kernel_sq = _KERNEL_SQ.get(mode)
+    if kernel_sq is None:
         raise ValueError(f"unknown kernel mode: {mode!r}")
+    if mode is KernelMode.LOG_APPROX and alpha >= 1.0:
+        raise ValueError(f"logarithmic kernel requires q r_B < 1: alpha = {alpha:.4g} "
+                         f"at {w0 / (2e9 * np.pi):.3f} GHz (use the exact kernel)")
 
     def integrand(g: np.ndarray) -> np.ndarray:
         u2 = 1.0 - g * g
@@ -134,7 +127,7 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
         return g * g * u2 ** 3 * np.exp(-beta * u2) * kernel_sq(eta)
 
     try:
-        val, err = integrate_adaptive(integrand, 0.0, 1.0 - ENDPOINT_INSET, spec)
+        val, err = integrate_adaptive(integrand, 0.0, 1.0, spec)
     except ConvergenceError as exc:
         raise exc.within(f"displacement channel at {w0 / (2e9 * np.pi):.3f} GHz") from exc
     return pref * val, pref * err

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ELECTRON_MASS, HBAR, NEON, SUBSTRATES, Material
+from .constants import ELECTRON_MASS, NEON, SUBSTRATES, Material
 from .numerics import (DEFAULT_SPEC, ConvergenceError, QuadratureSpec,
                        integrate_adaptive, integrate_oscillatory_batch)
-from .surface import BoundState, LateralTrap
+from .surface import BoundState, LateralTrap, phonon_kinematics
 
 S_CUTOFF = 40.0  # e^(-2s) below 2e-35 past this
 SUPPRESSION_THRESHOLD = 2.0
@@ -68,14 +68,9 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
     sqrt(1 - g^2) of the emitted phonon. A ConvergenceError names the
     channel and the trap frequency.
     """
-    if material.density is None:
-        raise ValueError(f"{material.name} has no density set")
-    if state is None:
-        state = BoundState.for_material(material)
+    state, alpha, beta = phonon_kinematics(trap, material, state)
     w0 = trap.omega_x
     c = material.sound_speed
-    alpha = w0 / c * state.bohr_radius
-    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
     pref = (8.0 * state.rydberg ** 2 * w0 ** 4
             / (np.pi * ELECTRON_MASS * material.density * c ** 7))
     inner_spec = QuadratureSpec(rel_tol=max(1e-10, 0.01 * spec.rel_tol))

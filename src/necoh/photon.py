@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import HBAR, SPEED_OF_LIGHT, TWO_PI
+from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, SPEED_OF_LIGHT, TWO_PI
 from .surface import LateralTrap
 
 
@@ -20,13 +20,12 @@ class DispersiveLimitWarning(UserWarning):
 def gamma_vacuum(trap: LateralTrap) -> float:
     """Free-space spontaneous emission rate of the x transition, s^-1.
 
-    gamma = 4 d^2 omega^3 / (3 hbar c^3) with d the transition dipole. With
-    d^2 = e^2 a_x^2 / 2 and a_x^2 = hbar/(m omega) this collapses to
-    2 e^2 omega^2 / (3 m_e c^3), scaling as omega^2.
+    gamma = 4 d^2 omega^3 / (3 hbar c^3) with d = e a_x / sqrt(2) the
+    transition dipole and a_x^2 = hbar/(m omega), which collapses to
+    2 e^2 omega^2 / (3 m_e c^3). Products overflow to inf where ** raises.
     """
-    d = trap.transition_dipole
-    w = trap.omega_x
-    return 4.0 * d * d * w ** 3 / (3.0 * HBAR * SPEED_OF_LIGHT ** 3)
+    e, w, c = ELEMENTARY_CHARGE, trap.omega_x, SPEED_OF_LIGHT
+    return 2.0 * e * e * w * w / (3.0 * ELECTRON_MASS * (c * c * c))
 
 
 @dataclass(frozen=True)

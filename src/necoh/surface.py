@@ -56,6 +56,12 @@ class BoundState:
         return cls(lam=lam, bohr_radius=r_b, rydberg=ryd)
 
 
+# the vertical 1 -> 2 spacing 3R/4 in neon, as a trap frequency in GHz (~1823):
+# from there up one lateral quantum can excite the vertical motion, which no
+# channel here includes, so the model holds only below it
+VERTICAL_LIMIT_GHZ = 0.75 * BoundState.for_material(NEON).rydberg / (2e9 * math.pi * HBAR)
+
+
 @dataclass(frozen=True)
 class LateralTrap:
     """Isotropic harmonic in-plane confinement with the qubit on the x levels.
@@ -82,7 +88,18 @@ class LateralTrap:
         """Oscillator length sqrt(hbar / (m_e omega_x)), cm."""
         return float(np.sqrt(HBAR / (ELECTRON_MASS * self.omega_x)))
 
-    @property
-    def transition_dipole(self) -> float:
-        """|<0| e x |1>| = e a_x / sqrt(2), statC cm."""
-        return ELEMENTARY_CHARGE * self.length_x / np.sqrt(2.0)
+
+def phonon_kinematics(trap: LateralTrap, material: Material = NEON,
+                      state: BoundState | None = None) -> tuple[BoundState, float, float]:
+    """(state, alpha, beta) of a phonon emitted at the trap frequency w0.
+
+    alpha = (w0/c) r_B and beta = hbar w0 / (2 m_e c^2), with c the sound
+    speed; ``state`` defaults to the material's own. Both phonon channels
+    use these; a material without a density raises ValueError.
+    """
+    if material.density is None:
+        raise ValueError(f"{material.name} has no density set")
+    if state is None:
+        state = BoundState.for_material(material)
+    w0, c = trap.omega_x, material.sound_speed
+    return state, w0 / c * state.bohr_radius, HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)

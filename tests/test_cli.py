@@ -231,6 +231,21 @@ def test_exact_kernel_runs_past_the_log_kernel_limit(capfd):
     assert [r.split(",")[0] for r in rows] == ["channel", "vacuum", "displacement", "modulation"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["rates", "--kernel", "exact", "--f0-ghz", "3000"], "f0-ghz"),
+    (["rates", "--kernel", "exact", "--f0-ghz", "1e200"], "f0-ghz"),
+    (["sweep", "--kernel", "exact", "--from", "1000", "--to", "3000"], "to"),
+])
+def test_main_refuses_f0_at_the_vertical_spacing(argv, flag, capfd):
+    # at 3R/(4h) ~ 1823 GHz one lateral quantum excites the vertical motion,
+    # which no channel includes; 1e200 GHz would also overflow the rates
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be below 1823.3 GHz, the vertical 1 -> 2 spacing")
+    assert len(err.splitlines()) == 1
+
+
 # --- command output ---
 
 def test_rates_table_lists_channels():

@@ -3,19 +3,27 @@ import warnings
 
 import pytest
 
-from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, SPEED_OF_LIGHT, TWO_PI
+from necoh.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT, TWO_PI
 from necoh.photon import CavityParams, DispersiveLimitWarning, gamma_purcell, gamma_vacuum
 from necoh.surface import LateralTrap
 
 
 def test_vacuum_rate_closed_form():
-    # 4 d^2 w^3 / (3 hbar c^3) with d = e a_x / sqrt(2) reduces to
-    # 2 e^2 w^2 / (3 m c^3), which never touches the trap length
-    trap = LateralTrap.isotropic_ghz(6.4)
-    w0 = trap.omega_x
-    want = 2.0 * ELEMENTARY_CHARGE ** 2 * w0 ** 2 / (
-        3.0 * ELECTRON_MASS * SPEED_OF_LIGHT ** 3)
-    assert gamma_vacuum(trap) == pytest.approx(want, rel=1e-13)
+    # the dipole form 4 d^2 w^3 / (3 hbar c^3), with the transition dipole
+    # d = e a_x / sqrt(2) on the trap length, reduces to the closed form
+    # 2 e^2 w^2 / (3 m c^3) that the package evaluates
+    for f0 in (0.1, 6.4, 90.0):
+        trap = LateralTrap.isotropic_ghz(f0)
+        w0 = trap.omega_x
+        d = ELEMENTARY_CHARGE * trap.length_x / math.sqrt(2.0)
+        want = 4.0 * d ** 2 * w0 ** 3 / (3.0 * HBAR * SPEED_OF_LIGHT ** 3)
+        assert gamma_vacuum(trap) == pytest.approx(want, rel=1e-13)
+
+
+def test_vacuum_rate_overflows_to_inf():
+    # the closed form overflows to inf where a float power would raise
+    # OverflowError; a report refuses such an f0 before it gets here
+    assert gamma_vacuum(LateralTrap.isotropic_ghz(1e200)) == math.inf
 
 
 def test_vacuum_lifetime_operating_point():

@@ -15,7 +15,7 @@ from necoh.report import (
     sweep,
     thermal_occupation,
 )
-from necoh.surface import LateralTrap
+from necoh.surface import VERTICAL_LIMIT_GHZ, LateralTrap
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,26 @@ def test_report_rejects_nonpositive_frequency():
         build_report(0.0)
     with pytest.raises(ValueError):
         build_report(-1.0)
+
+
+def test_report_refuses_f0_at_the_vertical_spacing():
+    with pytest.raises(ValueError, match="vertical 1 -> 2 spacing"):
+        build_report(VERTICAL_LIMIT_GHZ, kernel=KernelMode.EXACT)
+
+
+def test_phonon_t1_is_the_emission_lifetime():
+    # T1 = 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)); at 10 mK
+    # the two agree to 5e-14, at 300 mK and 6.4 GHz (n ~ 0.56) by 36%
+    rep = build_report(6.4, temperature_mk=300.0, spec=CLI_SPEC)
+    trap = LateralTrap.isotropic_ghz(6.4)
+    n = 1.0 / (math.exp(HBAR * trap.omega_x / (BOLTZMANN * 0.3)) - 1.0)
+    assert rep.occupation == pytest.approx(n, rel=1e-13)
+    for name, rate in (("displacement", gamma_displacement), ("modulation", gamma_modulation)):
+        bare, _ = rate(trap, spec=CLI_SPEC)
+        ch = rep.channel(name)
+        assert ch.gamma == pytest.approx((1.0 + n) * bare, rel=1e-13)
+        assert ch.t1 == pytest.approx(1.0 / ((1.0 + n) * bare), rel=1e-13)
+        assert (1.0 + 2.0 * n) * bare / ch.gamma == pytest.approx(1.36, abs=0.01)
 
 
 def test_sweep_preserves_order():

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, HBAR, NEON, TWO_PI
-from necoh.surface import BoundState, LateralTrap, image_coupling
+from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, HBAR, NEON, SILICON, TWO_PI
+from necoh.surface import (VERTICAL_LIMIT_GHZ, BoundState, LateralTrap, image_coupling,
+                           phonon_kinematics)
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +45,26 @@ def test_trap_lengths():
                                           rel=1e-14)
 
 
-def test_transition_dipole():
+def test_vertical_limit_is_the_one_to_two_spacing(state):
+    # level n binds at -R/n^2, so 1 -> 2 spans 3R/4; R/h is ~2431 GHz in neon
+    assert VERTICAL_LIMIT_GHZ * 1e9 * TWO_PI * HBAR == pytest.approx(0.75 * state.rydberg,
+                                                                      rel=1e-14)
+    assert VERTICAL_LIMIT_GHZ == pytest.approx(1823.3, rel=1e-4)
+
+
+def test_phonon_kinematics(state):
     trap = LateralTrap.isotropic_ghz(6.4)
-    want = ELEMENTARY_CHARGE * trap.length_x / math.sqrt(2.0)
-    assert trap.transition_dipole == pytest.approx(want, rel=1e-14)
+    w0 = TWO_PI * 6.4e9
+    c = NEON.sound_speed
+    got, alpha, beta = phonon_kinematics(trap)
+    assert got == state
+    assert alpha == pytest.approx(w0 / c * state.bohr_radius, rel=1e-14)
+    assert beta == pytest.approx(HBAR * w0 / (2.0 * ELECTRON_MASS * c * c), rel=1e-14)
+    custom = BoundState(lam=state.lam, bohr_radius=2.0 * state.bohr_radius,
+                        rydberg=state.rydberg)
+    assert phonon_kinematics(trap, state=custom)[:2] == (custom, pytest.approx(2.0 * alpha))
+    with pytest.raises(ValueError, match="silicon has no density set"):
+        phonon_kinematics(trap, SILICON)
 
 
 def test_trap_rejects_nonpositive_frequencies():
