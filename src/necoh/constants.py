@@ -6,6 +6,7 @@ follow CODATA 2018.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # CODATA 2018, exact where the SI defines them so
@@ -53,6 +54,16 @@ class Material:
     sound_speed: float
     epsilon: float | None = None
     density: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sound_speed < math.inf:
+            raise ValueError(f"{self.name}: sound_speed must be positive and finite: "
+                             f"got {self.sound_speed!r}")
+        if self.density is not None and not 0.0 < self.density < math.inf:
+            raise ValueError(f"{self.name}: density must be positive and finite: "
+                             f"got {self.density!r}")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ValueError(f"{self.name}: epsilon must be finite: got {self.epsilon!r}")
 
 
 NEON = Material(name="neon", sound_speed=1.133e5, epsilon=1.244, density=1.444)

@@ -103,10 +103,10 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
     with g the direction cosine to the surface normal, eta = (w0/c) r_B
     sqrt(1-g^2), beta = hbar w0 / (2 m_e c^2), and k the squared-kernel log
     (or exact u_p average, per ``mode``). The GK15 nodes are interior, so no
-    node lands on eta = 0 at g = 1. The log kernel needs eta < 1 over the
-    whole range, i.e. alpha < 1 (f0 below ``log_kernel_limit_ghz``); beyond
-    that LOG_APPROX raises ValueError. A ConvergenceError names the channel
-    and the trap frequency.
+    node lands on eta = 0 at g = 1. ValueError refuses f0 at the vertical
+    1 -> 2 spacing of ``state`` (``phonon_kinematics``) and, for LOG_APPROX,
+    alpha >= 1 (f0 from ``log_kernel_limit_ghz``: the log needs eta < 1). A
+    ConvergenceError names the channel and the trap frequency.
     """
     state, alpha, beta = phonon_kinematics(trap, material, state)
     w0 = trap.omega_x

@@ -64,9 +64,9 @@ def gamma_modulation(trap: LateralTrap, material: Material = NEON,
             * int_0^1 dg (1-g^2) exp(-beta (1-g^2)) D(alpha sqrt(1-g^2))^2
 
     with alpha = (w0/c) r_B, beta = hbar w0 / (2 m_e c^2) and D the inner
-    double integral. The sine scale in D carries the in-plane projection
-    sqrt(1 - g^2) of the emitted phonon. A ConvergenceError names the
-    channel and the trap frequency.
+    double integral, whose sine scale carries the in-plane projection
+    sqrt(1 - g^2) of the phonon. f0 at the vertical 1 -> 2 spacing raises
+    ValueError; a ConvergenceError names the channel and the trap frequency.
     """
     state, alpha, beta = phonon_kinematics(trap, material, state)
     w0 = trap.omega_x

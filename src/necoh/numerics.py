@@ -248,7 +248,7 @@ def _head_edges(cut: float) -> np.ndarray:
     return np.array(edges)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _oscillatory_grid(b: float) -> tuple[np.ndarray, np.ndarray]:
     """Abscissae and folded (nx, 3) weights of the batched scheme at b > 0.
 
@@ -265,9 +265,9 @@ def _oscillatory_grid(b: float) -> tuple[np.ndarray, np.ndarray]:
     - Euler change: -sum_{k<i} E[k, 1] on tail panel i, 0 on the head;
     - last tail panel: its weights alone, for the floor of the estimate.
 
-    Memoised: the adaptive s integral of one ``d_integral`` call evaluates
-    all its panels at one ``b``. Both arrays are read-only, so an envelope
-    cannot corrupt the cached grid.
+    Memoised for the last ``b``: one ``d_integral`` call evaluates all its
+    panels at one ``b``, and calls do not interleave. Both arrays are
+    read-only, so an envelope cannot corrupt the cached grid.
     """
     half_period = np.pi / b
     xg, wg = _GL24

@@ -16,7 +16,7 @@ from .displacement import KernelMode, gamma_displacement
 from .modulation import SubstrateDiagnostics, gamma_modulation, substrate_suppression
 from .numerics import DEFAULT_SPEC, QuadratureSpec
 from .photon import CavityParams, gamma_purcell, gamma_vacuum
-from .surface import VERTICAL_LIMIT_GHZ, LateralTrap
+from .surface import LateralTrap
 
 CHANNEL_VACUUM = "vacuum"
 CHANNEL_DISPLACEMENT = "displacement"
@@ -145,15 +145,10 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     10 mK. Photon channels are evaluated at zero occupation, where the
     closed forms below hold exactly. A bare vacuum or phonon rate below the
     smallest normal float (tiny f0, e.g. 1e-52 GHz) raises ValueError naming
-    the channel and f0; the cavity rate is 0 at g = 0. f0 at or above
-    ``VERTICAL_LIMIT_GHZ`` (~1823 GHz), where one lateral quantum reaches the
-    vertical 1 -> 2 spacing, raises ValueError.
+    the channel and f0; the cavity rate is 0 at g = 0. Other inputs are
+    refused with ValueError where they are used: f0 by ``LateralTrap`` and
+    by the phonon rates (``phonon_kinematics``), T by ``thermal_occupation``.
     """
-    if f0_ghz <= 0.0:
-        raise ValueError("f0_ghz must be positive")
-    if f0_ghz >= VERTICAL_LIMIT_GHZ:
-        raise ValueError(f"f0_ghz must be below {VERTICAL_LIMIT_GHZ:.1f} GHz, the vertical "
-                         f"1 -> 2 spacing 3R/(4h), where the model holds: got {f0_ghz!r}")
     trap = LateralTrap.isotropic_ghz(f0_ghz)
     t_k = mk_to_kelvin(temperature_mk)
     n_q = thermal_occupation(trap.omega_x, t_k)

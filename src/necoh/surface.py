@@ -19,7 +19,7 @@ from .constants import (ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, NEON,
 
 def image_coupling(epsilon: float) -> float:
     """Image-potential strength Lambda = (e^2/4)(eps-1)/(eps+1), erg cm."""
-    if epsilon <= 1.0:
+    if not epsilon > 1.0:
         raise ValueError("image binding needs epsilon > 1")
     return ELEMENTARY_CHARGE ** 2 / 4.0 * (epsilon - 1.0) / (epsilon + 1.0)
 
@@ -95,11 +95,16 @@ def phonon_kinematics(trap: LateralTrap, material: Material = NEON,
 
     alpha = (w0/c) r_B and beta = hbar w0 / (2 m_e c^2), with c the sound
     speed; ``state`` defaults to the material's own. Both phonon channels
-    use these; a material without a density raises ValueError.
+    use these. ValueError refuses a material without a density and any f0
+    from the vertical 1 -> 2 spacing 3R/(4h) of ``state`` up.
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
     if state is None:
         state = BoundState.for_material(material)
     w0, c = trap.omega_x, material.sound_speed
+    f0, limit = w0 / (2e9 * math.pi), 0.75 * state.rydberg / (2e9 * math.pi * HBAR)
+    if f0 >= limit:
+        raise ValueError(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing "
+                         f"3R/(4h), where the model holds: got {f0:.6g} GHz")
     return state, w0 / c * state.bohr_radius, HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)

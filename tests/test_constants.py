@@ -49,3 +49,16 @@ def test_substrates_carry_only_sound_speeds():
 def test_material_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         constants.NEON.epsilon = 2.0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("sound_speed", math.nan), ("sound_speed", math.inf), ("sound_speed", -math.inf),
+    ("sound_speed", -1.133e5), ("sound_speed", 0.0),
+    ("density", math.nan), ("density", math.inf), ("density", -1.0), ("density", 0.0),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -math.inf),
+])
+def test_material_refuses_bad_fields(field, bad):
+    # without the check a nan density gave a nan rate, -1 a negative one and
+    # inf a zero one; a bad sound speed failed deep inside the quadrature
+    with pytest.raises(ValueError, match=f"^neon: {field} must be"):
+        dataclasses.replace(constants.NEON, **{field: bad})

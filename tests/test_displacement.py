@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from necoh.displacement import (
     u_p_average,
 )
 from necoh.numerics import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
-from necoh.surface import BoundState, LateralTrap
+from necoh.surface import VERTICAL_LIMIT_GHZ, BoundState, LateralTrap
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,31 @@ def test_rate_log_kernel_refused_past_its_limit():
     gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(100.0), mode=KernelMode.EXACT,
                                   spec=QuadratureSpec(rel_tol=1e-7))
     assert math.isfinite(gamma) and gamma > 0.0
+
+
+@pytest.mark.parametrize("scale", [1, 8], ids=["neon", "custom-state"])
+def test_rate_refuses_f0_at_the_vertical_spacing(state, scale):
+    # r_B scaled by k binds with R / k^2, so that state's own 3R/(4h) is
+    # VERTICAL_LIMIT_GHZ / k^2: 28.5 GHz for k = 8, which neon's state accepts
+    custom = None if scale == 1 else BoundState(
+        lam=state.lam / scale, bohr_radius=scale * state.bohr_radius,
+        rydberg=state.rydberg / scale ** 2)
+    limit = 0.75 * (custom or state).rydberg / (2e9 * math.pi * HBAR)
+    assert limit == VERTICAL_LIMIT_GHZ / scale ** 2
+    message = re.escape(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing")
+    with pytest.raises(ValueError, match=message):
+        gamma_displacement(LateralTrap.isotropic_ghz(limit), state=custom, mode=KernelMode.EXACT)
+    gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-9)), state=custom,
+                                  mode=KernelMode.EXACT, spec=CLI_SPEC)
+    assert math.isfinite(gamma) and gamma > 0.0
+
+
+@pytest.mark.parametrize("f0", [1e40, 1e45])
+def test_rate_refuses_huge_f0(f0):
+    # without the vertical gate 1e40 GHz gave (0.0, 0.0), the recoil factor
+    # having underflowed, and 1e45 GHz an OverflowError from w0 ** 6
+    with pytest.raises(ValueError, match="vertical 1 -> 2 spacing"):
+        gamma_displacement(LateralTrap.isotropic_ghz(f0), mode=KernelMode.EXACT)
 
 
 def test_convergence_error_names_channel_and_frequency():

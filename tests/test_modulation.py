@@ -7,6 +7,7 @@ unreduced K1 kernel F, which only the QAWF oracle computes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from necoh.cli import CLI_SPEC
 from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
 from necoh.modulation import d_integral, gamma_modulation, substrate_suppression
 from necoh.numerics import ConvergenceError
-from necoh.surface import BoundState, LateralTrap
+from necoh.surface import VERTICAL_LIMIT_GHZ, BoundState, LateralTrap
 
 from _oracles import d_closed, f_kernel_quad
 
@@ -84,6 +85,23 @@ def test_rate_requires_density():
     trap = LateralTrap.isotropic_ghz(6.4)
     with pytest.raises(ValueError):
         gamma_modulation(trap, material=SILICON)
+
+
+@pytest.mark.parametrize("scale", [1, 8], ids=["neon", "custom-state"])
+def test_rate_refuses_f0_at_the_vertical_spacing(state, scale):
+    # r_B scaled by k binds with R / k^2, so that state's own 3R/(4h) is
+    # VERTICAL_LIMIT_GHZ / k^2: 28.5 GHz for k = 8, which neon's state accepts
+    custom = None if scale == 1 else BoundState(
+        lam=state.lam / scale, bohr_radius=scale * state.bohr_radius,
+        rydberg=state.rydberg / scale ** 2)
+    limit = 0.75 * (custom or state).rydberg / (2e9 * math.pi * HBAR)
+    assert limit == VERTICAL_LIMIT_GHZ / scale ** 2
+    message = re.escape(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing")
+    with pytest.raises(ValueError, match=message):
+        gamma_modulation(LateralTrap.isotropic_ghz(limit), state=custom)
+    gamma, _ = gamma_modulation(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-9)), state=custom,
+                                spec=CLI_SPEC)
+    assert math.isfinite(gamma) and gamma > 0.0
 
 
 def test_substrate_suppression_operating_point():

@@ -28,6 +28,8 @@ def test_image_coupling_rejects_weak_dielectric():
         image_coupling(1.0)
     with pytest.raises(ValueError):
         image_coupling(0.9)
+    with pytest.raises(ValueError, match="epsilon > 1"):
+        image_coupling(math.nan)
 
 
 def test_bound_state_scales(state):
