@@ -360,12 +360,20 @@ def cmd_rates(cfg: RunConfig, out=None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    grid = np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)
-    text = render_sweep(sweep(grid, **_report_options(cfg)), cfg.format)
     if cfg.output:
         # os.path.join drops the base directory when --output is absolute
         base = os.environ.get(ENV_OUTPUT_DIR) or "."
         path = os.path.join(base, cfg.output)
+        folder = os.path.dirname(path)
+        if not os.path.isdir(folder):
+            raise UsageError(f"output directory does not exist: {folder}")
+    try:
+        grid = np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a grid beyond memory or its index range before allocating
+        raise UsageError(f"points must fit in memory: got {cfg.points}") from exc
+    text = render_sweep(sweep(grid, **_report_options(cfg)), cfg.format)
+    if cfg.output:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         out.write(f"wrote {path}\n")

@@ -44,7 +44,9 @@ def d_integral(b: float, spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, fl
 
     def outer(s: np.ndarray) -> np.ndarray:
         def env(x: np.ndarray) -> np.ndarray:
-            return 1.0 / (s[:, None] + x[None, :]) ** 2
+            # reciprocal first: (s + x)^2 overflows on the tail at tiny b
+            r = 1.0 / (s[:, None] + x[None, :])
+            return r * r
 
         vals, errs = integrate_oscillatory_batch(env, b)
         scale = s * s * np.exp(-2.0 * s)

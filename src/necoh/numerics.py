@@ -10,9 +10,9 @@ too coarse) raises :class:`ConvergenceError` carrying the best estimate.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -133,8 +133,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi].
 
     The worst panel (largest error estimate) is bisected until the summed
-    error meets ``spec``, at most ``_MAX_BISECTIONS`` times. Returns
-    ``(value, error_estimate)``.
+    error meets ``spec``, at most ``_MAX_BISECTIONS`` times. Of panels with
+    equal error estimates the oldest is bisected first, so a run of ties
+    refines breadth-first, left to right. Returns ``(value, error_estimate)``.
     """
     if lo == hi:
         return 0.0, 0.0
@@ -144,34 +145,30 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
         sign = -1.0
     val, err = _eval_panel(f, lo, hi)
     total_val, total_err = val, err
-    # heap of (-err, tiebreak, lo, hi, val)
-    heap = [(-err, 0, lo, hi, val)]
-    count = 0
+    # (err, lo, hi, val) in the order made; max() returns the first maximum
+    panels = [(err, lo, hi, val)]
     for _ in range(_MAX_BISECTIONS):
         if total_err <= spec.tolerance(total_val):
             break
-        neg_err, _, plo, phi, pval = heapq.heappop(heap)
+        perr, plo, phi, pval = worst = max(panels, key=itemgetter(0))
+        panels.remove(worst)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # interval at floating point resolution, keep its estimate
-            heapq.heappush(heap, (0.0, count + 1, plo, phi, pval))
-            count += 1
+            panels.append((0.0, plo, phi, pval))
             continue
         lval, lerr = _eval_panel(f, plo, mid)
         rval, rerr = _eval_panel(f, mid, phi)
         total_val += lval + rval - pval
-        total_err += lerr + rerr + neg_err  # neg_err is -parent_err
-        heapq.heappush(heap, (-lerr, count + 1, plo, mid, lval))
-        heapq.heappush(heap, (-rerr, count + 2, mid, phi, rval))
-        count += 2
-    else:
-        if total_err > spec.tolerance(total_val):
-            raise ConvergenceError(
-                f"adaptive quadrature did not reach tolerance on [{lo}, {hi}]: "
-                f"error {total_err:.3e} on value {total_val:.6e}",
-                estimate=sign * total_val,
-                error_estimate=total_err,
-            )
+        total_err += lerr + rerr - perr
+        panels += [(lerr, plo, mid, lval), (rerr, mid, phi, rval)]
+    if total_err > spec.tolerance(total_val):
+        raise ConvergenceError(
+            f"adaptive quadrature did not reach tolerance on [{lo}, {hi}]: "
+            f"error {total_err:.3e} on value {total_val:.6e}",
+            estimate=sign * total_val,
+            error_estimate=total_err,
+        )
     return sign * total_val, total_err
 
 

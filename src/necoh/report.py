@@ -158,8 +158,8 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
                  ) -> ChannelRate:
         # these rates are positive at every f0 > 0, so a bare rate that is 0
         # or subnormal has lost its digits to underflow (the factor 1 + n
-        # would hide that); refused before a later channel runs (the
-        # modulation envelope overflows at such f0)
+        # would hide that); refused before a later channel spends its time
+        # on a rate that underflows at such f0 as well
         if gamma < sys.float_info.min:
             raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
         return ChannelRate.from_gamma(name, factor * gamma, factor * err)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import necoh
+from necoh import report
 from necoh.cli import (
     ConfigError,
     RunConfig,
@@ -171,8 +172,7 @@ def test_main_refuses_an_overflowing_rate(capfd):
 def test_main_refuses_an_underflowed_rate(argv, channel, f0, capfd):
     # a bare rate of 0 would print T1 = inf, a subnormal one a value without
     # its digits (1 + n, ~1e52 here, makes it look normal); it is refused at
-    # the first channel that underflows, before the modulation envelope
-    # overflows
+    # the first channel that underflows
     assert main(argv + ["--format", "csv"]) == 1
     out, err = capfd.readouterr()
     assert out == ""
@@ -244,6 +244,29 @@ def test_main_refuses_f0_at_the_vertical_spacing(argv, flag, capfd):
     assert out == ""
     assert err.startswith(f"error: {flag} must be below 1823.3 GHz, the vertical 1 -> 2 spacing")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("points", ["1000000000000", "100000000000000000000"])
+def test_main_refuses_a_grid_beyond_memory(points, capfd):
+    # numpy refuses both before allocating (7.3 TiB; past its index range);
+    # sizes from ~1e8 to 1e11 would allocate gigabytes for real
+    assert main(["sweep", "--points", points]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: points must fit in memory: got {points}\n"
+
+
+def test_main_refuses_a_missing_output_directory_before_computing(tmp_path, monkeypatch, capfd):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output directory was checked")
+
+    monkeypatch.setattr(report, "gamma_modulation", unreachable)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
+    assert main(["sweep", "--points", "2", "--output", "missing/grid.csv"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: output directory does not exist: {tmp_path / 'missing'}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- command output ---

@@ -8,6 +8,7 @@ unreduced K1 kernel F, which only the QAWF oracle computes.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,14 @@ def test_rate_refuses_f0_at_the_vertical_spacing(state, scale):
     gamma, _ = gamma_modulation(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-9)), state=custom,
                                 spec=CLI_SPEC)
     assert math.isfinite(gamma) and gamma > 0.0
+
+
+def test_rate_at_tiny_f0_raises_no_floating_point_warning():
+    # at 1e-150 GHz the envelope's tail abscissae reach ~1e160, where
+    # (s + x)^2 overflows; the rate itself underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_modulation(LateralTrap.isotropic_ghz(1e-150)) == (0.0, 0.0)
 
 
 def test_substrate_suppression_operating_point():

@@ -127,6 +127,23 @@ def test_convergence_error_carries_partial_state():
     assert 5.0 < exc.estimate < 11.0
 
 
+def test_adaptive_bisects_the_oldest_of_equal_errors():
+    # an integrand blind to x gives sibling panels bit-identical estimates
+    # that never converge, so the panel midpoints (node 7) show the order
+    jagged = np.arange(15.0) % 2 + 1
+    mids = []
+
+    def f(x):
+        mids.append(x[7])
+        return jagged
+
+    with pytest.raises(ConvergenceError):
+        integrate_adaptive(f, 0.0, 1.0)
+    # breadth-first, left to right: the dyadic midpoints level by level
+    dyadic = [(2 * i + 1) / 2 ** (k + 1) for k in range(9) for i in range(2 ** k)]
+    assert mids == dyadic[:1 + 2 * _MAX_BISECTIONS]
+
+
 def test_rates_stay_far_inside_the_bisection_budget(monkeypatch):
     # every integrate_adaptive call of a rate, nested ones included, counted
     # through its own integrand: 1 + 2 n calls are n bisections
