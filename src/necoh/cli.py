@@ -367,6 +367,8 @@ def cmd_sweep(cfg: RunConfig, out=None) -> int:
         folder = os.path.dirname(path)
         if not os.path.isdir(folder):
             raise UsageError(f"output directory does not exist: {folder}")
+        if os.path.isdir(path):
+            raise UsageError(f"output path is a directory: {path}")
     try:
         grid = np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)
     except (MemoryError, ValueError) as exc:

@@ -1,10 +1,10 @@
-"""Quadrature engines and special functions used by the rate integrals.
+"""Quadrature engines of the rate integrals, on numpy alone.
 
 All integrators take vectorized callables: the integrand receives a numpy
 array of abscissae and must return an array of the same shape. Every routine
 returns a ``(value, error_estimate)`` pair. The accuracy target is the one
 relative tolerance of a :class:`QuadratureSpec`; an error estimate that misses
-it (the adaptive routines after 200 bisections, or the fixed oscillatory grid
+it (``integrate_adaptive`` after 200 bisections, or the fixed oscillatory grid
 too coarse) raises :class:`ConvergenceError` carrying the best estimate.
 """
 from __future__ import annotations
@@ -16,8 +16,6 @@ from operator import itemgetter
 from typing import Callable
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
 
 _EPS = float(np.finfo(float).eps)
 # bisections after which integrate_adaptive gives up; no rate needs over 16
@@ -84,8 +82,8 @@ DEFAULT_SPEC = QuadratureSpec()
 class ConvergenceError(Exception):
     """Raised when a quadrature's error estimate misses its spec.
 
-    The adaptive routines raise it after ``_MAX_BISECTIONS`` bisections, the
-    fixed oscillatory grid at once.
+    ``integrate_adaptive`` raises it after ``_MAX_BISECTIONS`` bisections,
+    the fixed oscillatory grid at once.
 
     Attributes
     ----------
@@ -170,17 +168,6 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
             error_estimate=total_err,
         )
     return sign * total_val, total_err
-
-
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
-    """Integral of a decaying ``f`` over [0, inf) via the map x = t/(1-t)."""
-
-    def mapped(t: np.ndarray) -> np.ndarray:
-        w = 1.0 - t
-        return f(t / w) / (w * w)
-
-    return integrate_adaptive(mapped, 0.0, 1.0 - 1e-14, spec)
 
 
 @functools.lru_cache(maxsize=128)
@@ -346,57 +333,3 @@ def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b
             f"error {err:.3e} on value {value:.6e}",
             estimate=value, error_estimate=err)
     return value, err
-
-
-def bessel_k1(x):
-    """Modified Bessel function of the second kind, order one.
-
-    Accepts positive scalars or arrays. Raises ValueError outside the domain.
-    ``scipy.special`` is imported here, not at module level: importing it
-    costs ~0.4 s, and no rate computed by the package calls K1 any more
-    (``displacement.u_p_average`` is a closed form), so ``import necoh`` and
-    every CLI command stay free of it.
-    """
-    from scipy import special
-
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr > 0.0):
-        raise ValueError("bessel_k1 requires x > 0")
-    out = special.k1(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-_UP_SWITCH = 1e-3
-
-
-def u_p(eta):
-    """Image-kernel profile function (1 - eta*K1(eta)) / eta^2.
-
-    Positive and monotonically decreasing on eta > 0. Below eta = 1e-3 the
-    direct form loses all precision to cancellation, so a logarithmic series
-    branch takes over:
-
-        u_p(eta) = -(1/2)(ln(eta/2) + gamma_E - 1/2)
-                   - (eta^2/16)(ln(eta/2) + gamma_E - 5/4) + O(eta^4 ln eta)
-
-    Like ``bessel_k1`` it imports ``scipy.special`` on first use only.
-    """
-    from scipy import special
-
-    arr = np.asarray(eta, dtype=float)
-    if arr.size and not np.all(arr > 0.0):
-        raise ValueError("u_p requires eta > 0")
-    out = np.empty_like(arr)
-    small = arr < _UP_SWITCH
-    if np.any(small):
-        e = arr[small]
-        lg = np.log(0.5 * e) + EULER_GAMMA
-        out[small] = -0.5 * (lg - 0.5) - (e * e / 16.0) * (lg - 1.25)
-    if np.any(~small):
-        e = arr[~small]
-        out[~small] = (1.0 - e * special.k1(e)) / (e * e)
-    if np.isscalar(eta) or arr.ndim == 0:
-        return float(out)
-    return out

@@ -258,7 +258,7 @@ def test_main_refuses_a_grid_beyond_memory(points, capfd):
 
 def test_main_refuses_a_missing_output_directory_before_computing(tmp_path, monkeypatch, capfd):
     def unreachable(*args, **kwargs):
-        raise AssertionError("the sweep ran before its output directory was checked")
+        raise AssertionError("the sweep ran before its output path was checked")
 
     monkeypatch.setattr(report, "gamma_modulation", unreachable)
     monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
@@ -266,6 +266,12 @@ def test_main_refuses_a_missing_output_directory_before_computing(tmp_path, monk
     out, err = capfd.readouterr()
     assert out == ""
     assert err == f"error: output directory does not exist: {tmp_path / 'missing'}\n"
+    assert list(tmp_path.iterdir()) == []
+    # an existing directory is no file to write either
+    assert main(["sweep", "--points", "2", "--output", "."]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: output path is a directory: {os.path.join(tmp_path, '.')}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -407,9 +413,10 @@ print(json.dumps({"seen": seen, "codes": codes}))
 
 
 def test_rate_paths_leave_scipy_unloaded():
-    # scipy.special alone costs ~0.4 s of start-up; only bessel_k1 and u_p,
-    # which no rate calls, import it. numpy.polynomial (~1.3 MiB of peak RSS)
-    # is not needed at all: the Gauss-Legendre rules are constants
+    # the runtime depends on numpy alone: scipy (scipy.special alone costs
+    # ~0.4 s of start-up) is a test dependency, for the oracles only.
+    # numpy.polynomial (~1.3 MiB of peak RSS) is not needed either: the
+    # Gauss-Legendre rules are constants
     res = _run_python("-c", _STARTUP_PROBE)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)

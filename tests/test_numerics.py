@@ -1,8 +1,8 @@
-"""Quadrature engine and special-function checks.
+"""Quadrature engine checks.
 
-The Bessel comparison runs against the series/integral-representation
-oracle in _oracles.py, which shares no code path with the production
-routine.
+The oscillatory engine is checked against closed forms and against the
+unfolded sums and iterated Euler averaging of _oracles.py, which share no
+code path with the folded weight product.
 """
 
 import dataclasses
@@ -18,27 +18,23 @@ from necoh import displacement, modulation
 from necoh.cli import CLI_SPEC
 from necoh.numerics import (
     DEFAULT_SPEC,
-    EULER_GAMMA,
     GK15_GAUSS_WEIGHTS,
     GK15_KRONROD_WEIGHTS,
     GK15_NODES,
     ConvergenceError,
     QuadratureSpec,
-    bessel_k1,
     integrate_adaptive,
     integrate_oscillatory_batch,
-    integrate_semi_infinite,
     integrate_semi_infinite_oscillatory,
     _GL16,
     _GL24,
     _MAX_BISECTIONS,
     _TAIL_PANELS,
     _euler_weights,
-    u_p,
 )
 from necoh.surface import LateralTrap
 
-from _oracles import euler_average, h_closed, k1_reference, oscillatory_batch_unfolded
+from _oracles import euler_average, h_closed, oscillatory_batch_unfolded
 
 _EPS = float(np.finfo(float).eps)
 
@@ -102,12 +98,6 @@ def test_adaptive_handles_log_squared_endpoint():
     got, err = integrate_adaptive(lambda x: np.log(x) ** 2, 0.0, 1.0, DEFAULT_SPEC)
     assert abs(got - 2.0) <= 10.0 * err
     assert got == pytest.approx(2.0, rel=1e-9)
-
-
-def test_semi_infinite_second_moment():
-    got, err = integrate_semi_infinite(lambda s: s * s * np.exp(-2.0 * s), DEFAULT_SPEC)
-    assert abs(got - 0.25) <= 10.0 * err
-    assert got == pytest.approx(0.25, rel=1e-9)
 
 
 def test_convergence_error_carries_partial_state():
@@ -391,50 +381,6 @@ def test_oscillatory_scalar_rejects_envelope_of_wrong_shape(env):
         integrate_semi_infinite_oscillatory(env, 1.0, DEFAULT_SPEC)
 
 
-# --- special functions ---
-
-def test_bessel_k1_matches_independent_oracle():
-    grid = np.geomspace(1e-8, 700.0, 50)
-    for x in grid:
-        assert bessel_k1(float(x)) == pytest.approx(k1_reference(float(x)), rel=1e-10)
-
-
-def test_bessel_k1_known_point():
-    assert bessel_k1(1.0) == pytest.approx(0.6019072301972346, rel=1e-14)
-
-
-def test_bessel_k1_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        bessel_k1(0.0)
-    with pytest.raises(ValueError):
-        bessel_k1(-2.0)
-
-
-def test_u_p_identity_at_one():
-    # u_p(eta) = (1 - eta K1(eta)) / eta^2 collapses at eta = 1
-    assert u_p(1.0) == pytest.approx(1.0 - bessel_k1(1.0), rel=1e-13)
-    assert u_p(1.0) == pytest.approx(0.3980927698027654, rel=1e-13)
-
-
-def test_u_p_series_branch_is_continuous():
-    below = float(u_p(1e-3 * (1.0 - 1e-9)))
-    above = float(u_p(1e-3 * (1.0 + 1e-9)))
-    assert below == pytest.approx(above, rel=1e-9)
-
-
-def test_u_p_small_eta_leading_form():
-    eta = 1e-8
-    want = -0.5 * (math.log(0.5 * eta) + EULER_GAMMA - 0.5)
-    assert float(u_p(eta)) == pytest.approx(want, rel=1e-9)
-
-
-def test_u_p_positive_and_decreasing():
-    grid = np.geomspace(1e-10, 50.0, 300)
-    vals = np.asarray(u_p(grid), dtype=float)
-    assert np.all(vals > 0.0)
-    assert np.all(np.diff(vals) < 0.0)
-
-
 # --- package namespace ---
 
 def test_package_exports():
@@ -442,7 +388,6 @@ def test_package_exports():
         assert hasattr(necoh, name), name
     # checked by the tests, called by no rate: importable from
     # necoh.numerics, not exported by the package
-    for name in ("bessel_k1", "u_p", "integrate_semi_infinite",
-                 "integrate_semi_infinite_oscillatory"):
-        assert name not in necoh.__all__ and not hasattr(necoh, name), name
-        assert callable(getattr(necoh.numerics, name)), name
+    name = "integrate_semi_infinite_oscillatory"
+    assert name not in necoh.__all__ and not hasattr(necoh, name)
+    assert callable(getattr(necoh.numerics, name))

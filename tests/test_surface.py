@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
+from necoh.cli import CLI_SPEC
 from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, HBAR, NEON, SILICON, TWO_PI
+from necoh.displacement import gamma_displacement
+from necoh.modulation import gamma_modulation
 from necoh.surface import (VERTICAL_LIMIT_GHZ, BoundState, LateralTrap, image_coupling,
                            phonon_kinematics)
 
@@ -67,6 +71,24 @@ def test_phonon_kinematics(state):
     assert phonon_kinematics(trap, state=custom)[:2] == (custom, pytest.approx(2.0 * alpha))
     with pytest.raises(ValueError, match="silicon has no density set"):
         phonon_kinematics(trap, SILICON)
+    # beta u is the lateral form factor's exponent q_par^2 a_x^2 / 2, with
+    # q_par = (w0/c) sqrt(u) the in-plane phonon wavenumber
+    for f0 in (1.0, 6.4, 10.0):
+        trap = LateralTrap.isotropic_ghz(f0)
+        beta = phonon_kinematics(trap)[2]
+        for u in (0.1, 0.5, 1.0):
+            q_par = trap.omega_x / c * math.sqrt(u)
+            assert beta * u == pytest.approx(q_par ** 2 * trap.length_x ** 2 / 2.0, rel=1e-14)
+
+
+def test_phonon_rates_scale_as_one_over_density():
+    # both prefactors carry 1/rho, and the bound state and kinematics do not
+    # depend on it
+    trap = LateralTrap.isotropic_ghz(6.4)
+    denser = dataclasses.replace(NEON, density=2.0 * NEON.density)
+    for rate in (gamma_modulation, gamma_displacement):
+        gamma = rate(trap, spec=CLI_SPEC)[0]
+        assert rate(trap, denser, spec=CLI_SPEC)[0] == pytest.approx(gamma / 2.0, rel=1e-14)
 
 
 def test_trap_rejects_nonpositive_frequencies():
