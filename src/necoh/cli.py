@@ -8,11 +8,13 @@ Three subcommands:
   row by row at a tolerance.
 
 Options may come from a flat ``key = value`` config file (``--config``);
-explicit command line flags win over the file. Exit codes: 0 success, 1 a
-channel computation or a reproduction comparison failed, 2 usage or config
-errors, non-finite numbers (nan, inf) included. Warnings raised while a
-command runs (the dispersive limit of the cavity channel) go to stderr as
-one ``warning: <message>`` line each.
+explicit command line flags win over the file. Each command checks the
+domain of the options it reads only, and refuses a non-finite number in any.
+Exit codes: 0 success, 1 a channel computation or a reproduction comparison
+failed, 2 usage or config errors, non-finite numbers (nan, inf) included, and
+an ``--output`` file that cannot be opened. Warnings raised while a command
+runs (the dispersive limit of the cavity channel) go to stderr as one
+``warning: <message>`` line each.
 """
 from __future__ import annotations
 
@@ -77,30 +79,38 @@ class RunConfig:
     table: int = 1
     output: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
+        """Refuse a non-finite number in any field, and an out-of-domain value
+        in a field that ``command`` reads (``--cavity`` is parsed where used)."""
         for key, flag in _FINITE_FLAGS.items():
             if not math.isfinite(getattr(self, key)):
                 raise UsageError(f"{flag} must be finite: got {getattr(self, key)!r}")
-        if self.format not in _FORMATS:
-            raise UsageError(f"format must be one of {', '.join(_FORMATS)}: got {self.format!r}")
         if self.kernel not in _KERNELS:
             raise UsageError(f"kernel must be one of {', '.join(_KERNELS)}: got {self.kernel!r}")
-        if self.f0_ghz <= 0.0:
-            raise UsageError("f0-ghz must be positive")
+        if command == "reproduce":
+            if not 0.0 < self.tol < 1.0:
+                raise UsageError("tol must be in (0, 1)")
+            if self.table not in _REFERENCE_TABLES:
+                raise UsageError("table must be 1 or 2")
+            return
+        if self.format not in _FORMATS:
+            raise UsageError(f"format must be one of {', '.join(_FORMATS)}: got {self.format!r}")
         if self.temperature_mk < 0.0:
             raise UsageError("temperature-mk must be >= 0")
-        if self.points < 1:
-            raise UsageError("points must be >= 1")
-        if self.points > 1 and not self.from_ghz < self.to_ghz:
-            raise UsageError("sweep needs from < to")
-        if self.from_ghz <= 0.0:
-            raise UsageError("sweep frequencies must be positive")
-        if not 0.0 < self.tol < 1.0:
-            raise UsageError("tol must be in (0, 1)")
-        if self.table not in _REFERENCE_TABLES:
-            raise UsageError("table must be 1 or 2")
-        # a one-point sweep runs at --from only
-        for key in ["f0_ghz", "from_ghz"] + (["to_ghz"] if self.points > 1 else []):
+        if command == "rates":
+            if self.f0_ghz <= 0.0:
+                raise UsageError("f0-ghz must be positive")
+            frequencies = ["f0_ghz"]
+        else:
+            if self.points < 1:
+                raise UsageError("points must be >= 1")
+            if self.points > 1 and not self.from_ghz < self.to_ghz:
+                raise UsageError("sweep needs from < to")
+            if self.from_ghz <= 0.0:
+                raise UsageError("sweep frequencies must be positive")
+            # a one-point sweep runs at --from only
+            frequencies = ["from_ghz"] + (["to_ghz"] if self.points > 1 else [])
+        for key in frequencies:
             flag, value = _FINITE_FLAGS[key], getattr(self, key)
             if self.kernel == KernelMode.LOG_APPROX.value and value >= _LOG_KERNEL_LIMIT_GHZ:
                 raise UsageError(
@@ -230,7 +240,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     cfg = RunConfig(**values)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -369,6 +379,15 @@ def cmd_sweep(cfg: RunConfig, out=None) -> int:
             raise UsageError(f"output directory does not exist: {folder}")
         if os.path.isdir(path):
             raise UsageError(f"output path is a directory: {path}")
+        # open it before any rate runs, without truncating it; a file made
+        # only for this check goes again, so a failed run leaves no trace
+        new = not os.path.lexists(path)
+        try:
+            os.close(os.open(path, os.O_WRONLY | (os.O_CREAT | os.O_EXCL if new else 0)))
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {path}: {exc.strerror}") from exc
+        if new:
+            os.remove(path)
     try:
         grid = np.linspace(cfg.from_ghz, cfg.to_ghz, cfg.points)
     except (MemoryError, ValueError) as exc:

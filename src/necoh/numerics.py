@@ -2,10 +2,10 @@
 
 All integrators take vectorized callables: the integrand receives a numpy
 array of abscissae and must return an array of the same shape. Every routine
-returns a ``(value, error_estimate)`` pair. The accuracy target is the one
-relative tolerance of a :class:`QuadratureSpec`; an error estimate that misses
-it (``integrate_adaptive`` after 200 bisections, or the fixed oscillatory grid
-too coarse) raises :class:`ConvergenceError` carrying the best estimate.
+returns a ``(value, error_estimate)`` pair. ``integrate_adaptive`` takes the
+one relative tolerance of a :class:`QuadratureSpec` as its accuracy target and
+raises :class:`ConvergenceError`, carrying the best estimate, when its error
+estimate still misses it after 200 bisections.
 """
 from __future__ import annotations
 
@@ -80,10 +80,7 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 class ConvergenceError(Exception):
-    """Raised when a quadrature's error estimate misses its spec.
-
-    ``integrate_adaptive`` raises it after ``_MAX_BISECTIONS`` bisections,
-    the fixed oscillatory grid at once.
+    """Raised when ``integrate_adaptive`` misses its spec after 200 bisections.
 
     Attributes
     ----------
@@ -308,28 +305,4 @@ def integrate_oscillatory_batch(env: Callable[[np.ndarray], np.ndarray], b: floa
     # floor the estimate at the scale of the last alternating term
     err = np.maximum(np.abs(r[..., 1]), np.abs(r[..., 2]) * 1e-6)
     err = np.maximum(err, np.abs(value) * 100.0 * _EPS)
-    return value, err
-
-
-def integrate_semi_infinite_oscillatory(f: Callable[[np.ndarray], np.ndarray], b: float,
-                                        spec: QuadratureSpec = DEFAULT_SPEC
-                                        ) -> tuple[float, float]:
-    """``int_0^inf f(x) sin(b x) dx`` for a smooth decaying envelope ``f``.
-
-    The scalar case of ``integrate_oscillatory_batch``: one product of ``f``,
-    one value per abscissa (else ValueError), with the cached folded weights.
-    There is no refinement: an error estimate above ``spec.tolerance(value)``
-    raises :class:`ConvergenceError` with the value and estimate.
-    ``b = 0`` is the sine-free case and returns 0.
-    """
-    if not b >= 0.0:
-        raise ValueError(f"b must be >= 0, got {b}")
-    if b == 0.0:
-        return 0.0, 0.0
-    value, err = (r.item() for r in integrate_oscillatory_batch(f, b))
-    if not err <= spec.tolerance(value):
-        raise ConvergenceError(
-            f"oscillatory quadrature did not reach tolerance at b = {b}: "
-            f"error {err:.3e} on value {value:.6e}",
-            estimate=value, error_estimate=err)
     return value, err

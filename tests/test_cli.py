@@ -21,6 +21,7 @@ from necoh.cli import (
     parse_config_file,
 )
 from necoh.constants import TWO_PI
+from necoh.reference import DISPLACEMENT_TABLE
 
 
 # --- config files ---
@@ -273,6 +274,82 @@ def test_main_refuses_a_missing_output_directory_before_computing(tmp_path, monk
     assert out == ""
     assert err == f"error: output path is a directory: {os.path.join(tmp_path, '.')}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_main_refuses_an_output_file_it_cannot_open_before_computing(tmp_path, monkeypatch,
+                                                                     capfd):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output file was checked")
+
+    monkeypatch.setattr(report, "gamma_modulation", unreachable)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
+    # longer than any file name the file system takes (255 bytes); an
+    # unwritable file or folder takes the same path, but not as root
+    name = "a" * 300 + ".csv"
+    assert main(["sweep", "--points", "2", "--output", name]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {os.path.join(tmp_path, name)}: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sweep_leaves_its_output_path_as_it_was(tmp_path, monkeypatch, capfd):
+    # the up-front check opens the file: it must neither truncate an existing
+    # file nor leave a new one behind when the sweep then fails
+    def fails(*args, **kwargs):
+        raise ValueError("rate failed")
+
+    monkeypatch.setattr(report, "gamma_modulation", fails)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "old.csv").write_bytes(b"kept\r\n")
+    for name in ("old.csv", "new.csv"):
+        assert main(["sweep", "--points", "2", "--output", name]) == 1
+        assert capfd.readouterr() == ("", "error: rate failed\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+    assert (tmp_path / "old.csv").read_bytes() == b"kept\r\n"
+
+
+def _stub_phonon_rates(monkeypatch):
+    # instant stand-ins; displacement gives table 1's rate at its nearest row
+    def displacement(trap, mode=None, spec=None):
+        f0 = trap.omega_x / (TWO_PI * 1e9)
+        row = min(DISPLACEMENT_TABLE, key=lambda r: abs(r.f0_ghz - f0))
+        return 1.0 / row.t1_s, 0.0
+
+    monkeypatch.setattr(report, "gamma_displacement", displacement)
+    monkeypatch.setattr(report, "gamma_modulation", lambda trap, spec=None: (1.0, 0.0))
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["rates"], "from_ghz = 2000\nto_ghz = 3000\n"),
+    (["rates"], "points = 0\ntable = 3\ntol = 2\n"),
+    (["sweep", "--points", "2"], "f0_ghz = 100\n"),
+    (["reproduce", "--table", "1"], "f0_ghz = 100\n"),
+    (["reproduce", "--table", "1"], "format = xml\ntemperature_mk = -4\n"),
+], ids=["rates-sweep-range", "rates-other-keys", "sweep-f0", "reproduce-f0",
+        "reproduce-other-keys"])
+def test_config_keys_a_command_does_not_read_are_not_checked(argv, config, tmp_path,
+                                                             monkeypatch, capfd):
+    _stub_phonon_rates(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert main(argv + ["--config", str(path)]) == 0
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, config, flag", [
+    ("rates", "tol = nan\n", "tol"),
+    ("sweep", "tol = nan\n", "tol"),
+    ("reproduce", "f0_ghz = inf\n", "f0-ghz"),
+], ids=["rates", "sweep", "reproduce"])
+def test_config_refuses_a_non_finite_number_for_every_command(command, config, flag,
+                                                              tmp_path, capfd):
+    # even in a key the command does not read
+    path = tmp_path / "run.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert capfd.readouterr().err.startswith(f"error: {flag} must be finite")
 
 
 # --- command output ---
