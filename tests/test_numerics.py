@@ -191,11 +191,20 @@ def test_oscillatory_exponential_envelope():
     assert float(got[0]) == pytest.approx(want, rel=1e-9)
 
 
+def test_oscillatory_scalar_matches_closed_form():
+    # a one-dimensional envelope is the scalar case: one value, one bar
+    got, err = integrate_oscillatory_batch(lambda x: (1.0 + x) ** -2, 1.0)
+    want = h_closed(1.0)
+    assert want == pytest.approx(0.3433779615564269, rel=1e-13)
+    assert got.shape == err.shape == ()
+    assert abs(float(got) - want) <= 10.0 * float(err)
+    assert float(got) == pytest.approx(want, rel=1e-9)
+
+
 def test_oscillatory_batch_matches_closed_form():
     def env(x):
         return 1.0 / (1.0 + x) ** 2
 
-    assert h_closed(1.0) == pytest.approx(0.3433779615564269, rel=1e-13)
     for b in (0.05, 0.4, 1.0, 1.3):
         got, err = integrate_oscillatory_batch(lambda x: env(x)[None, :], b)
         want = h_closed(b)
@@ -204,6 +213,29 @@ def test_oscillatory_batch_matches_closed_form():
 
 
 _LOG_GRID = np.geomspace(0.01, 10.0, 13)
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-7)],
+                         ids=["default", "rel1e-7"])
+@pytest.mark.parametrize("family", ["exp", "inverse-square"])
+def test_oscillatory_scalar_error_bar_is_honest(family, spec):
+    # e^(-a x) has the transform b / (a^2 + b^2), (1 + x)^-2 the closed
+    # form h_closed(b), one scalar envelope per (a, b). The engine takes no
+    # spec and raises nothing: a caller holding the spec accepts a value
+    # whose bar meets spec.tolerance. Every bar covers its true error, so an
+    # accepted value meets the spec for real, and no bar is inflated past
+    # 1e-5 relative.
+    if family == "exp":
+        cases = [(lambda x, a=a: np.exp(-a * x), b, b / (a * a + b * b))
+                 for a in _LOG_GRID for b in _LOG_GRID]
+    else:
+        cases = [(lambda x: (1.0 + x) ** -2, b, h_closed(b))
+                 for b in np.geomspace(0.01, 10.0, 25)]
+    for f, b, want in cases:
+        got, err = (float(r) for r in integrate_oscillatory_batch(f, float(b)))
+        assert abs(got - want) <= err <= 1e-5 * abs(want), (b, got, want, err)
+        if err <= spec.tolerance(got):
+            assert abs(got - want) <= spec.tolerance(want), (b, got, want, err)
 
 
 @pytest.mark.parametrize("family", ["exp", "inverse-square"])
