@@ -191,9 +191,14 @@ def parse_cavity(spec: str) -> CavityParams:
     if missing:
         raise UsageError(f"cavity spec missing {', '.join(sorted(missing))}")
     try:
-        return CavityParams.from_mhz(values["g"], values["kappa"], values["detuning"])
+        cavity = CavityParams.from_mhz(values["g"], values["kappa"], values["detuning"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # with no coupling or no loss there is no cavity channel, and its T1 is inf
+    for name in ("g", "kappa"):
+        if getattr(cavity, name) == 0.0:
+            raise UsageError(f"cavity {name} must be positive: got 0 (omit --cavity instead)")
+    return cavity
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,22 +207,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relaxation and coherence times of an electron's lateral "
                     "motional states on solid neon.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command reads --config and --kernel; rates and sweep the rest
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file")
+    common.add_argument("--kernel", choices=_KERNELS,
+                        help="displacement vertical kernel (default approx)")
+    channels = argparse.ArgumentParser(add_help=False, parents=[common])
+    channels.add_argument("--format", choices=_FORMATS, help="output format (default table)")
+    channels.add_argument("--temperature-mk", type=float,
+                          help="bath temperature in mK (default 10)")
+    channels.add_argument("--cavity",
+                          help="cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz")
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--format", choices=_FORMATS, help="output format (default table)")
-        p.add_argument("--kernel", choices=_KERNELS,
-                       help="displacement vertical kernel (default approx)")
-        p.add_argument("--temperature-mk", type=float, help="bath temperature in mK (default 10)")
-        p.add_argument("--cavity",
-                       help="cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz")
-        return p
-
-    p_rates = command("rates", "all channels at one frequency")
+    p_rates = sub.add_parser("rates", parents=[channels], help="all channels at one frequency")
     p_rates.add_argument("--f0-ghz", type=float, help="trap frequency in GHz (default 6.4)")
 
-    p_sweep = command("sweep", "channels over a frequency grid")
+    p_sweep = sub.add_parser("sweep", parents=[channels], help="channels over a frequency grid")
     p_sweep.add_argument("--from", dest="from_ghz", type=float,
                          help="grid start in GHz (default 1)")
     p_sweep.add_argument("--to", dest="to_ghz", type=float, help="grid end in GHz (default 10)")
@@ -226,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write to this file instead of stdout "
                               f"(relative paths resolve under ${ENV_OUTPUT_DIR} if set)")
 
-    p_rep = command("reproduce", "recompute a bundled reference table")
+    p_rep = sub.add_parser("reproduce", parents=[common],
+                           help="recompute a bundled reference table")
     p_rep.add_argument("--table", type=int, choices=tuple(_REFERENCE_TABLES),
                        help="1 = displacement lifetimes, 2 = modulation lifetimes")
     p_rep.add_argument("--tol", type=float, help="per-row relative tolerance (default 0.03)")

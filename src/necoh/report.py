@@ -143,9 +143,10 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     relaxation time 1/(gamma (1 + 2n)), which adds the absorption rate
     gamma n; the two differ by 36% at 300 mK and 6.4 GHz and by 5e-14 at
     10 mK. Photon channels are evaluated at zero occupation, where the
-    closed forms below hold exactly. A bare vacuum or phonon rate below the
-    smallest normal float (tiny f0, e.g. 1e-52 GHz) raises ValueError naming
-    the channel and f0; the cavity rate is 0 at g = 0. Other inputs are
+    closed forms below hold exactly. A bare rate below the smallest normal
+    float raises ValueError naming the channel and f0: a vacuum or phonon rate
+    at tiny f0 (e.g. 1e-52 GHz), a cavity rate at g = 0, kappa = 0 or where
+    g^2 kappa underflows, so no channel reports an infinite T1. Other inputs are
     refused with ValueError where they are used: f0 by ``LateralTrap`` and
     by the phonon rates (``phonon_kinematics``), T by ``thermal_occupation``.
     """
@@ -156,10 +157,10 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
 
     def positive(name: str, gamma: float, err: float = 0.0, factor: float = 1.0
                  ) -> ChannelRate:
-        # these rates are positive at every f0 > 0, so a bare rate that is 0
-        # or subnormal has lost its digits to underflow (the factor 1 + n
-        # would hide that); refused before a later channel spends its time
-        # on a rate that underflows at such f0 as well
+        # these rates are positive at every f0 > 0 (the cavity's at g, kappa
+        # > 0), so a bare rate that is 0 or subnormal has lost its digits to
+        # underflow (the factor 1 + n would hide that); refused before a later
+        # channel spends its time on a rate that underflows at such f0 as well
         if gamma < sys.float_info.min:
             raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
         return ChannelRate.from_gamma(name, factor * gamma, factor * err)
@@ -169,7 +170,7 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
         gamma, err = rate(trap, kernel, spec)
         channels.append(positive(name, gamma, err, stim))
     if cavity is not None:
-        channels.append(ChannelRate.from_gamma(CHANNEL_CAVITY, gamma_purcell(cavity)))
+        channels.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
 
     return CoherenceReport(
         f0_ghz=f0_ghz,

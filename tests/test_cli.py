@@ -327,8 +327,9 @@ def _stub_phonon_rates(monkeypatch):
     (["sweep", "--points", "2"], "f0_ghz = 100\n"),
     (["reproduce", "--table", "1"], "f0_ghz = 100\n"),
     (["reproduce", "--table", "1"], "format = xml\ntemperature_mk = -4\n"),
+    (["reproduce", "--table", "1"], "format = json\ntemperature_mk = 50\ncavity = junk\n"),
 ], ids=["rates-sweep-range", "rates-other-keys", "sweep-f0", "reproduce-f0",
-        "reproduce-other-keys"])
+        "reproduce-other-keys", "reproduce-channel-keys"])
 def test_config_keys_a_command_does_not_read_are_not_checked(argv, config, tmp_path,
                                                              monkeypatch, capfd):
     _stub_phonon_rates(monkeypatch)
@@ -350,6 +351,39 @@ def test_config_refuses_a_non_finite_number_for_every_command(command, config, f
     path.write_text(config, encoding="utf-8")
     assert main([command, "--config", str(path)]) == 2
     assert capfd.readouterr().err.startswith(f"error: {flag} must be finite")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--format", "json"), ("--temperature-mk", "-4"), ("--cavity", "junk")])
+def test_reproduce_refuses_the_channel_options_it_does_not_read(flag, value, monkeypatch,
+                                                                capfd):
+    # a config file may still carry these keys (see the test above)
+    _stub_phonon_rates(monkeypatch)
+    assert main(["reproduce", "--table", "1", flag, value]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.endswith(f"necoh: error: unrecognized arguments: {flag} {value}\n")
+
+
+@pytest.mark.parametrize("argv, f0", [(["rates"], "6.4"), (["sweep", "--points", "2"], "1")],
+                         ids=["rates", "sweep"])
+@pytest.mark.parametrize("cavity, code, err", [
+    ("g=0,kappa=0.5,detuning=500", 2,
+     "error: cavity g must be positive: got 0 (omit --cavity instead)\n"),
+    ("g=5,kappa=0,detuning=500", 2,
+     "error: cavity kappa must be positive: got 0 (omit --cavity instead)\n"),
+    ("g=1e-170,kappa=0.5,detuning=500", 1,  # g^2 underflows
+     "error: cavity rate underflows at f0 = {f0} GHz\n"),
+], ids=["no-coupling", "no-loss", "underflow"])
+def test_main_refuses_a_cavity_whose_rate_is_zero(argv, f0, cavity, code, err, monkeypatch,
+                                                  capfd):
+    # its T1 would print as inf, or as Infinity in JSON, which strict parsers refuse
+    _stub_phonon_rates(monkeypatch)
+    for fmt in ("table", "csv", "json"):
+        assert main(argv + ["--format", fmt, "--cavity", cavity]) == code
+        out, got = capfd.readouterr()
+        assert "inf" not in out.lower()
+        assert (out, got) == ("", err.format(f0=f0))
 
 
 # --- command output ---

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import necoh.report as report_module
 from necoh.cli import CLI_SPEC
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
 from necoh.displacement import KernelMode, gamma_displacement
@@ -97,6 +98,18 @@ def test_channel_rate_zero_rate_never_decays():
     ch = ChannelRate.from_gamma("x", 0.0)
     assert ch.t1 == math.inf
     assert ch.t2 == math.inf
+
+
+@pytest.mark.parametrize("g, kappa", [(0.0, 1.0), (1.0, 0.0), (1e-170, 1.0)],
+                         ids=["no-coupling", "no-loss", "g-squared-underflows"])
+def test_report_refuses_a_cavity_rate_that_is_zero(g, kappa, monkeypatch):
+    # the cavity channel passes the same normal-float gate as the others,
+    # so no report carries an infinite T1; phonon rates stubbed
+    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (1.0, 0.0))
+    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1.0, 0.0))
+    cavity = CavityParams(g=g, kappa=kappa, detuning=100.0)
+    with pytest.raises(ValueError, match="^cavity rate underflows at f0 = 6.4 GHz$"):
+        build_report(6.4, cavity=cavity)
 
 
 def test_channel_rate_rejects_negative():
