@@ -28,13 +28,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .displacement import KernelMode, log_kernel_limit_ghz
+from .displacement import KernelMode, kernel_kinematics
 from .numerics import ConvergenceError, QuadratureSpec
 from .photon import CavityParams
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
 from .report import (CHANNEL_CAVITY, CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, PHONON_RATES,
                      ChannelRate, CoherenceReport, build_report, sweep)
-from .surface import VERTICAL_LIMIT_GHZ, LateralTrap
+from .surface import LateralTrap
 
 ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
 
@@ -51,8 +51,6 @@ _REFERENCE_TABLES = {1: (CHANNEL_DISPLACEMENT, DISPLACEMENT_TABLE),
 # flags of the RunConfig fields that must hold finite numbers
 _FINITE_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk",
                  "from_ghz": "from", "to_ghz": "to", "tol": "tol"}
-# the approx kernel's frequency ceiling, where the phonon reaches q r_B = 1
-_LOG_KERNEL_LIMIT_GHZ = log_kernel_limit_ghz()
 
 
 class ConfigError(Exception):
@@ -110,17 +108,13 @@ class RunConfig:
                 raise UsageError("sweep frequencies must be positive")
             # a one-point sweep runs at --from only
             frequencies = ["from_ghz"] + (["to_ghz"] if self.points > 1 else [])
+        # the rates' own gate on the trap they get: refuse exactly what they refuse
         for key in frequencies:
-            flag, value = _FINITE_FLAGS[key], getattr(self, key)
-            if self.kernel == KernelMode.LOG_APPROX.value and value >= _LOG_KERNEL_LIMIT_GHZ:
-                raise UsageError(
-                    f"{flag} must be below {_LOG_KERNEL_LIMIT_GHZ:.1f} GHz "
-                    f"with --kernel approx, where the log kernel holds: "
-                    f"got {value!r} (use --kernel exact)")
-            if value >= VERTICAL_LIMIT_GHZ:
-                raise UsageError(
-                    f"{flag} must be below {VERTICAL_LIMIT_GHZ:.1f} GHz, the vertical "
-                    f"1 -> 2 spacing 3R/(4h), where the model holds: got {value!r}")
+            try:
+                kernel_kinematics(LateralTrap.isotropic_ghz(getattr(self, key)),
+                                  KernelMode(self.kernel))
+            except ValueError as exc:
+                raise UsageError(f"{_FINITE_FLAGS[key]}: {exc}") from exc
 
 
 # config keys with their parsers, one per RunConfig field; the annotations are
@@ -284,9 +278,14 @@ def _cavity_note(rep: CoherenceReport) -> str | None:
         cav = rep.channel(CHANNEL_CAVITY)
     except KeyError:
         return None
+    ratio = PURCELL_T1_QUOTED / cav.t1
+    if ratio >= 1.0:
+        times = f"{ratio:.1f}x above"
+    else:  # an exact quotient: T1 / 0.032 s passes the largest float from T1 ~ 6e306 s
+        from decimal import Decimal
+        times = f"{Decimal(cav.t1) / Decimal(PURCELL_T1_QUOTED):.3g}x below"
     return (f"note: cavity T1 is the closed-form dispersive value; the bundled "
-            f"reference lifetime {PURCELL_T1_QUOTED:g} s sits "
-            f"{PURCELL_T1_QUOTED / cav.t1:.1f}x above it (known discrepancy)")
+            f"reference lifetime {PURCELL_T1_QUOTED:g} s sits {times} it (known discrepancy)")
 
 
 def render_sweep(reports: list[CoherenceReport], fmt: str) -> str:

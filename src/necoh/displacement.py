@@ -82,13 +82,18 @@ _KERNEL_SQ = {
 }
 
 
-def log_kernel_limit_ghz() -> float:
-    """Trap frequency, GHz, at which alpha = (w0/c) r_B reaches 1 in neon.
-
-    The logarithmic kernel -ln(q r_B)/2 holds only for q r_B < 1; a phonon
-    emitted at w0 reaches q r_B = alpha, so LOG_APPROX needs f0 below this.
-    """
-    return NEON.sound_speed / (2e9 * np.pi * BoundState.for_material(NEON).bohr_radius)
+def kernel_kinematics(trap: LateralTrap, mode: KernelMode, material: Material = NEON,
+                      state: BoundState | None = None) -> tuple[BoundState, float, float]:
+    """``phonon_kinematics``, plus a ValueError under LOG_APPROX for alpha >= 1
+    (f0 from ~92.6 GHz in neon): -ln(q r_B)/2 needs q r_B < 1, and the phonon
+    reaches q r_B = alpha. The message states that ceiling, rounded down."""
+    state, alpha, beta = phonon_kinematics(trap, material, state)
+    if mode is KernelMode.LOG_APPROX and alpha >= 1.0:
+        f0 = trap.omega_x / (2e9 * np.pi)  # alpha grows as f0: 1 at f0 / alpha
+        raise ValueError(f"logarithmic kernel requires q r_B < 1, f0 below "
+                         f"{np.floor(10.0 * f0 / alpha) / 10.0:.1f} GHz: alpha = {alpha:.4g} "
+                         f"at {f0:.3f} GHz (use the exact kernel)")
+    return state, alpha, beta
 
 
 def gamma_displacement(trap: LateralTrap, material: Material = NEON,
@@ -103,23 +108,17 @@ def gamma_displacement(trap: LateralTrap, material: Material = NEON,
     with g the direction cosine to the surface normal, eta = (w0/c) r_B
     sqrt(1-g^2), beta = hbar w0 / (2 m_e c^2), and k the squared-kernel log
     (or exact u_p average, per ``mode``). The GK15 nodes are interior, so no
-    node lands on eta = 0 at g = 1. ValueError refuses f0 at the vertical
-    1 -> 2 spacing of ``state`` (``phonon_kinematics``) and, for LOG_APPROX,
-    alpha >= 1 (f0 from ``log_kernel_limit_ghz``: the log needs eta < 1). A
-    ConvergenceError names the channel and the trap frequency.
+    node lands on eta = 0 at g = 1. ValueError refuses f0 outside the range of
+    ``mode`` (``kernel_kinematics``). A ConvergenceError names the channel and
+    the trap frequency.
     """
-    state, alpha, beta = phonon_kinematics(trap, material, state)
-    w0 = trap.omega_x
-    c = material.sound_speed
-    r_b = state.bohr_radius
+    state, alpha, beta = kernel_kinematics(trap, mode, material, state)
+    w0, c, r_b = trap.omega_x, material.sound_speed, state.bohr_radius
     pref = (state.rydberg ** 2 * r_b ** 2 * w0 ** 6
             / (8.0 * np.pi * ELECTRON_MASS * material.density * c ** 9))
     kernel_sq = _KERNEL_SQ.get(mode)
     if kernel_sq is None:
         raise ValueError(f"unknown kernel mode: {mode!r}")
-    if mode is KernelMode.LOG_APPROX and alpha >= 1.0:
-        raise ValueError(f"logarithmic kernel requires q r_B < 1: alpha = {alpha:.4g} "
-                         f"at {w0 / (2e9 * np.pi):.3f} GHz (use the exact kernel)")
 
     def integrand(g: np.ndarray) -> np.ndarray:
         u2 = 1.0 - g * g

@@ -146,7 +146,8 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     closed forms below hold exactly. A bare rate below the smallest normal
     float raises ValueError naming the channel and f0: a vacuum or phonon rate
     at tiny f0 (e.g. 1e-52 GHz), a cavity rate at g = 0, kappa = 0 or where
-    g^2 kappa underflows, so no channel reports an infinite T1. Other inputs are
+    g^2 kappa underflows, so no channel reports an infinite T1, and finite
+    rates whose total overflows raise ValueError too. Other inputs are
     refused with ValueError where they are used: f0 by ``LateralTrap`` and
     by the phonon rates (``phonon_kinematics``), T by ``thermal_occupation``.
     """
@@ -172,6 +173,8 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     if cavity is not None:
         channels.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
 
+    if not math.isfinite(sum(ch.gamma for ch in channels)):
+        raise ValueError(f"total rate is not finite at f0 = {f0_ghz:g} GHz")
     return CoherenceReport(
         f0_ghz=f0_ghz,
         temperature_mk=temperature_mk,

@@ -56,12 +56,6 @@ class BoundState:
         return cls(lam=lam, bohr_radius=r_b, rydberg=ryd)
 
 
-# the vertical 1 -> 2 spacing 3R/4 in neon, as a trap frequency in GHz (~1823):
-# from there up one lateral quantum can excite the vertical motion, which no
-# channel here includes, so the model holds only below it
-VERTICAL_LIMIT_GHZ = 0.75 * BoundState.for_material(NEON).rydberg / (2e9 * math.pi * HBAR)
-
-
 @dataclass(frozen=True)
 class LateralTrap:
     """Isotropic harmonic in-plane confinement with the qubit on the x levels.
@@ -96,7 +90,9 @@ def phonon_kinematics(trap: LateralTrap, material: Material = NEON,
     alpha = (w0/c) r_B and beta = hbar w0 / (2 m_e c^2), with c the sound
     speed; ``state`` defaults to the material's own. Both phonon channels
     use these. ValueError refuses a material without a density and any f0
-    from the vertical 1 -> 2 spacing 3R/(4h) of ``state`` up.
+    from the vertical 1 -> 2 spacing 3R/(4h) of ``state`` up (~1823 GHz in
+    neon), where one lateral quantum excites the vertical motion, which no
+    channel includes; the message states that ceiling rounded down.
     """
     if material.density is None:
         raise ValueError(f"{material.name} has no density set")
@@ -105,6 +101,7 @@ def phonon_kinematics(trap: LateralTrap, material: Material = NEON,
     w0, c = trap.omega_x, material.sound_speed
     f0, limit = w0 / (2e9 * math.pi), 0.75 * state.rydberg / (2e9 * math.pi * HBAR)
     if f0 >= limit:
-        raise ValueError(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing "
-                         f"3R/(4h), where the model holds: got {f0:.6g} GHz")
+        raise ValueError(f"f0 must be below {math.floor(10.0 * limit) / 10.0:.1f} GHz, the "
+                         f"vertical 1 -> 2 spacing 3R/(4h), where the model holds: "
+                         f"got {f0:.6g} GHz")
     return state, w0 / c * state.bohr_radius, HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)

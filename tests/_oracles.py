@@ -14,6 +14,8 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
+from necoh.constants import HBAR
+
 EULER_GAMMA = 0.5772156649015329
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -233,3 +235,13 @@ def oscillatory_batch_unfolded(env, b: float, n_tail_panels: int = 64):
     err = np.maximum(np.maximum(change, 1e-6 * np.abs(panels[..., -1])),
                      100.0 * eps * np.abs(value))
     return value, err, np.abs(y).sum(axis=-1)
+
+
+def vertical_ceiling_ghz(rydberg: float) -> float:
+    """The vertical 1 -> 2 spacing 3R/4, R in erg, as a trap frequency in GHz."""
+    return 0.75 * rydberg / (2e9 * math.pi * HBAR)
+
+
+def log_kernel_ceiling_ghz(sound_speed: float, bohr_radius: float) -> float:
+    """Trap frequency, GHz, at which the emitted phonon reaches q r_B = 1."""
+    return sound_speed / (2e9 * math.pi * bohr_radius)

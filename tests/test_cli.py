@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import necoh
-from necoh import report
+from necoh import displacement, modulation, report
 from necoh.cli import (
     ConfigError,
     RunConfig,
@@ -20,8 +21,12 @@ from necoh.cli import (
     parse_cavity,
     parse_config_file,
 )
-from necoh.constants import TWO_PI
+from necoh.constants import NEON, TWO_PI
+from necoh.displacement import KernelMode
 from necoh.reference import DISPLACEMENT_TABLE
+from necoh.surface import BoundState
+
+from _oracles import log_kernel_ceiling_ghz, vertical_ceiling_ghz
 
 
 # --- config files ---
@@ -221,9 +226,11 @@ def test_dispersive_limit_warning_is_one_stderr_line():
 def test_main_refuses_log_kernel_past_its_limit(capfd):
     assert main(["rates", "--f0-ghz", "100"]) == 2
     err = capfd.readouterr().err
-    assert err.startswith("error: f0-ghz must be below 92.6 GHz with --kernel approx")
+    assert err.startswith("error: f0-ghz: logarithmic kernel requires q r_B < 1, "
+                          "f0 below 92.6 GHz: alpha = 1.08 at 100.000 GHz")
     assert main(["sweep", "--from", "1", "--to", "95", "--points", "3"]) == 2
-    assert capfd.readouterr().err.startswith("error: to must be below 92.6 GHz")
+    assert capfd.readouterr().err.startswith(
+        "error: to: logarithmic kernel requires q r_B < 1, f0 below 92.6 GHz")
 
 
 def test_exact_kernel_runs_past_the_log_kernel_limit(capfd):
@@ -243,8 +250,66 @@ def test_main_refuses_f0_at_the_vertical_spacing(argv, flag, capfd):
     assert main(argv) == 2
     out, err = capfd.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {flag} must be below 1823.3 GHz, the vertical 1 -> 2 spacing")
+    assert err.startswith(f"error: {flag}: f0 must be below 1823.2 GHz, the vertical 1 -> 2 "
+                          "spacing")
     assert len(err.splitlines()) == 1
+
+
+# one ulp below 3R/(4h) as a float, but the rates' f0, recomputed from the
+# trap's angular frequency, rounds up onto it
+_ULP_BELOW_SPACING = "1823.2669684769592"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rates", "--kernel", "exact", "--f0-ghz", _ULP_BELOW_SPACING], "f0-ghz"),
+    (["sweep", "--kernel", "exact", "--from", "1823", "--to", _ULP_BELOW_SPACING,
+      "--points", "3"], "to"),
+])
+def test_main_refuses_f0_the_rates_refuse_before_any_rate_runs(argv, flag, monkeypatch, capfd):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rate ran on an f0 the command should have refused")
+
+    monkeypatch.setattr(report, "gamma_displacement", unreachable)
+    monkeypatch.setattr(report, "gamma_modulation", unreachable)
+    assert main(argv) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == (f"error: {flag}: f0 must be below 1823.2 GHz, the vertical 1 -> 2 spacing "
+                   "3R/(4h), where the model holds: got 1823.27 GHz\n")
+
+
+@pytest.mark.parametrize("kernel", ["approx", "exact"])
+@pytest.mark.parametrize("ceiling", ["log kernel", "vertical spacing"])
+def test_cli_refuses_exactly_the_f0_the_rates_refuse(kernel, ceiling, monkeypatch):
+    # every f0 within 2000 ulps of the ceiling: RunConfig.validate must refuse
+    # it exactly when a real rate function does; their integrators are stubbed
+    # so only the rates' own range checks run
+    monkeypatch.setattr(displacement, "integrate_adaptive", lambda *args: (1.0, 0.0))
+    monkeypatch.setattr(modulation, "integrate_adaptive", lambda *args: (1.0, 0.0))
+    state = BoundState.for_material(NEON)
+    limit = (log_kernel_ceiling_ghz(NEON.sound_speed, state.bohr_radius)
+             if ceiling == "log kernel" else vertical_ceiling_ghz(state.rydberg))
+    grid = (np.array(limit).view(np.int64) + np.arange(-2000, 2001)).view(np.float64)
+    disagree, refused = [], 0
+    for f0 in grid.tolist():
+        try:
+            RunConfig(f0_ghz=f0, kernel=kernel).validate("rates")
+            cli_refuses = False
+        except UsageError:
+            cli_refuses = True
+        try:
+            report.build_report(f0, kernel=KernelMode(kernel))
+            rates_refuse = False
+        except ValueError:
+            rates_refuse = True
+        refused += rates_refuse
+        if cli_refuses != rates_refuse:
+            disagree.append(f0)
+    assert disagree == []
+    if (ceiling == "log kernel") == (kernel == "approx"):
+        assert 0 < refused < grid.size  # the scan straddles its kernel's ceiling
+    else:  # all past 92.6 GHz with the log kernel, all inside with the exact
+        assert refused == (grid.size if kernel == "approx" else 0)
 
 
 @pytest.mark.parametrize("points", ["1000000000000", "100000000000000000000"])
@@ -413,6 +478,32 @@ def test_rates_json_shape():
     assert len(obj["substrates"]) == 2
     # the cavity entry must point at the known lifetime discrepancy
     assert any("discrepancy" in note for note in obj["notes"])
+
+
+def test_rates_table_has_no_inf_total(monkeypatch, capfd):
+    # two finite channel rates whose sum overflows: exit 1 and no table
+    monkeypatch.setattr(report, "gamma_displacement", lambda trap, **kw: (1e308, 0.0))
+    monkeypatch.setattr(report, "gamma_modulation", lambda trap, **kw: (1e308, 0.0))
+    assert main(["rates", "--format", "table"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: total rate is not finite at f0 = 6.4 GHz\n"
+
+
+@pytest.mark.parametrize("cavity, says", [
+    ("g=5,kappa=0.5,detuning=500", "sits 10.1x above it"),
+    ("g=0.1,kappa=0.5,detuning=500", "sits 249x below it"),
+    ("g=0.01,kappa=0.5,detuning=500", "sits 2.49e+4x below it"),
+    # T1 / 0.032 s passes the largest float here
+    ("g=8.9e-158,kappa=1,detuning=1", "sits 6.28e+308x below it"),
+])
+def test_cavity_note_says_which_side_of_the_reference_lifetime(cavity, says, monkeypatch,
+                                                               capfd):
+    _stub_phonon_rates(monkeypatch)
+    assert main(["rates", "--cavity", cavity]) == 0
+    note = capfd.readouterr().out.splitlines()[-1]
+    assert note == ("note: cavity T1 is the closed-form dispersive value; the bundled reference "
+                    f"lifetime 0.032 s {says} (known discrepancy)")
 
 
 @pytest.mark.parametrize("f0", [1e-8, 1e-50])

@@ -5,17 +5,18 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import displacement_integral, up_average_direct
+from _oracles import (displacement_integral, log_kernel_ceiling_ghz, up_average_direct,
+                      vertical_ceiling_ghz)
 from necoh.cli import CLI_SPEC
 from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
 from necoh.displacement import (
     KernelMode,
     gamma_displacement,
-    log_kernel_limit_ghz,
+    kernel_kinematics,
     u_p_average,
 )
 from necoh.numerics import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
-from necoh.surface import VERTICAL_LIMIT_GHZ, BoundState, LateralTrap
+from necoh.surface import BoundState, LateralTrap, phonon_kinematics
 
 
 @pytest.fixture(scope="module")
@@ -153,16 +154,29 @@ def test_rate_error_scales_with_spec():
 
 
 def test_log_kernel_limit_matches_matrix_element_domain(state):
-    limit = log_kernel_limit_ghz()
+    limit = log_kernel_ceiling_ghz(NEON.sound_speed, state.bohr_radius)
     assert limit == pytest.approx(92.63, rel=1e-3)
-    q_limit = 2e9 * math.pi * limit / NEON.sound_speed
-    assert q_limit * state.bohr_radius == pytest.approx(1.0, rel=1e-12)
+    _, alpha, _ = phonon_kinematics(LateralTrap.isotropic_ghz(limit))
+    assert alpha == pytest.approx(1.0, rel=1e-12)
 
 
-def test_rate_log_kernel_refused_past_its_limit():
+def test_kernel_kinematics_adds_the_log_ceiling_to_phonon_kinematics(state):
+    limit = log_kernel_ceiling_ghz(NEON.sound_speed, state.bohr_radius)
+    for f0 in (6.4, 92.0, limit, 1823.2):
+        trap = LateralTrap.isotropic_ghz(f0)
+        assert kernel_kinematics(trap, KernelMode.EXACT) == phonon_kinematics(trap)
+        if f0 < limit:
+            assert kernel_kinematics(trap, KernelMode.LOG_APPROX) == phonon_kinematics(trap)
+        else:
+            # the ceiling is stated rounded down, 92.6 for 92.63 GHz
+            with pytest.raises(ValueError, match=r"q r_B < 1, f0 below 92\.6 GHz: alpha = "):
+                kernel_kinematics(trap, KernelMode.LOG_APPROX)
+
+
+def test_rate_log_kernel_refused_past_its_limit(state):
     gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(92.0))
     assert math.isfinite(gamma) and gamma > 0.0
-    for f0 in (log_kernel_limit_ghz(), 100.0):
+    for f0 in (log_kernel_ceiling_ghz(NEON.sound_speed, state.bohr_radius), 100.0):
         with pytest.raises(ValueError, match="logarithmic kernel requires q r_B < 1"):
             gamma_displacement(LateralTrap.isotropic_ghz(f0), mode=KernelMode.LOG_APPROX)
     gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(100.0), mode=KernelMode.EXACT,
@@ -170,16 +184,18 @@ def test_rate_log_kernel_refused_past_its_limit():
     assert math.isfinite(gamma) and gamma > 0.0
 
 
-@pytest.mark.parametrize("scale", [1, 8], ids=["neon", "custom-state"])
-def test_rate_refuses_f0_at_the_vertical_spacing(state, scale):
+@pytest.mark.parametrize("scale, shown", [(1, "1823.2"), (8, "28.4")],
+                         ids=["neon", "custom-state"])
+def test_rate_refuses_f0_at_the_vertical_spacing(state, scale, shown):
     # r_B scaled by k binds with R / k^2, so that state's own 3R/(4h) is
-    # VERTICAL_LIMIT_GHZ / k^2: 28.5 GHz for k = 8, which neon's state accepts
+    # neon's / k^2: 28.49 GHz for k = 8, which neon's state accepts; the
+    # message rounds the ceiling down, never above a refused f0
     custom = None if scale == 1 else BoundState(
         lam=state.lam / scale, bohr_radius=scale * state.bohr_radius,
         rydberg=state.rydberg / scale ** 2)
-    limit = 0.75 * (custom or state).rydberg / (2e9 * math.pi * HBAR)
-    assert limit == VERTICAL_LIMIT_GHZ / scale ** 2
-    message = re.escape(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing")
+    limit = vertical_ceiling_ghz((custom or state).rydberg)
+    assert limit == vertical_ceiling_ghz(state.rydberg) / scale ** 2
+    message = re.escape(f"f0 must be below {shown} GHz, the vertical 1 -> 2 spacing")
     with pytest.raises(ValueError, match=message):
         gamma_displacement(LateralTrap.isotropic_ghz(limit), state=custom, mode=KernelMode.EXACT)
     gamma, _ = gamma_displacement(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-9)), state=custom,

@@ -17,9 +17,9 @@ from necoh.cli import CLI_SPEC
 from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
 from necoh.modulation import d_integral, gamma_modulation, substrate_suppression
 from necoh.numerics import ConvergenceError
-from necoh.surface import VERTICAL_LIMIT_GHZ, BoundState, LateralTrap
+from necoh.surface import BoundState, LateralTrap
 
-from _oracles import d_closed, f_kernel_quad
+from _oracles import d_closed, f_kernel_quad, vertical_ceiling_ghz
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +88,18 @@ def test_rate_requires_density():
         gamma_modulation(trap, material=SILICON)
 
 
-@pytest.mark.parametrize("scale", [1, 8], ids=["neon", "custom-state"])
-def test_rate_refuses_f0_at_the_vertical_spacing(state, scale):
+@pytest.mark.parametrize("scale, shown", [(1, "1823.2"), (8, "28.4")],
+                         ids=["neon", "custom-state"])
+def test_rate_refuses_f0_at_the_vertical_spacing(state, scale, shown):
     # r_B scaled by k binds with R / k^2, so that state's own 3R/(4h) is
-    # VERTICAL_LIMIT_GHZ / k^2: 28.5 GHz for k = 8, which neon's state accepts
+    # neon's / k^2: 28.49 GHz for k = 8, which neon's state accepts; the
+    # message rounds the ceiling down, never above a refused f0
     custom = None if scale == 1 else BoundState(
         lam=state.lam / scale, bohr_radius=scale * state.bohr_radius,
         rydberg=state.rydberg / scale ** 2)
-    limit = 0.75 * (custom or state).rydberg / (2e9 * math.pi * HBAR)
-    assert limit == VERTICAL_LIMIT_GHZ / scale ** 2
-    message = re.escape(f"f0 must be below {limit:.1f} GHz, the vertical 1 -> 2 spacing")
+    limit = vertical_ceiling_ghz((custom or state).rydberg)
+    assert limit == vertical_ceiling_ghz(state.rydberg) / scale ** 2
+    message = re.escape(f"f0 must be below {shown} GHz, the vertical 1 -> 2 spacing")
     with pytest.raises(ValueError, match=message):
         gamma_modulation(LateralTrap.isotropic_ghz(limit), state=custom)
     gamma, _ = gamma_modulation(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-9)), state=custom,

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import necoh
 from necoh import displacement, modulation
 from necoh.cli import CLI_SPEC
+from necoh.constants import NEON
 from necoh.numerics import (
     DEFAULT_SPEC,
     GK15_GAUSS_WEIGHTS,
@@ -31,9 +32,10 @@ from necoh.numerics import (
     _TAIL_PANELS,
     _euler_weights,
 )
-from necoh.surface import LateralTrap
+from necoh.surface import BoundState, LateralTrap
 
-from _oracles import euler_average, h_closed, oscillatory_batch_unfolded
+from _oracles import (euler_average, h_closed, log_kernel_ceiling_ghz,
+                      oscillatory_batch_unfolded)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -152,7 +154,7 @@ def test_rates_stay_far_inside_the_bisection_budget(monkeypatch):
 
     monkeypatch.setattr(displacement, "integrate_adaptive", counted)
     monkeypatch.setattr(modulation, "integrate_adaptive", counted)
-    limit = displacement.log_kernel_limit_ghz()
+    limit = log_kernel_ceiling_ghz(NEON.sound_speed, BoundState.for_material(NEON).bohr_radius)
     for f0 in np.geomspace(1e-4, 1e3):
         trap = LateralTrap.isotropic_ghz(float(f0))
         for spec in (DEFAULT_SPEC, CLI_SPEC):

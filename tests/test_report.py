@@ -16,7 +16,9 @@ from necoh.report import (
     sweep,
     thermal_occupation,
 )
-from necoh.surface import VERTICAL_LIMIT_GHZ, LateralTrap
+from necoh.surface import BoundState, LateralTrap
+
+from _oracles import vertical_ceiling_ghz
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,14 @@ def test_report_refuses_a_cavity_rate_that_is_zero(g, kappa, monkeypatch):
         build_report(6.4, cavity=cavity)
 
 
+def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
+    # each channel is finite, but their total would print as inf (T1 = 0)
+    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (1e308, 0.0))
+    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1e308, 0.0))
+    with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
+        build_report(6.4)
+
+
 def test_channel_rate_rejects_negative():
     with pytest.raises(ValueError):
         ChannelRate.from_gamma("x", -1.0)
@@ -198,7 +208,8 @@ def test_report_rejects_nonpositive_frequency():
 
 def test_report_refuses_f0_at_the_vertical_spacing():
     with pytest.raises(ValueError, match="vertical 1 -> 2 spacing"):
-        build_report(VERTICAL_LIMIT_GHZ, kernel=KernelMode.EXACT)
+        build_report(vertical_ceiling_ghz(BoundState.for_material().rydberg),
+                     kernel=KernelMode.EXACT)
 
 
 def test_phonon_t1_is_the_emission_lifetime():

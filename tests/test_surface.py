@@ -7,8 +7,9 @@ from necoh.cli import CLI_SPEC
 from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, HBAR, NEON, SILICON, TWO_PI
 from necoh.displacement import gamma_displacement
 from necoh.modulation import gamma_modulation
-from necoh.surface import (VERTICAL_LIMIT_GHZ, BoundState, LateralTrap, image_coupling,
-                           phonon_kinematics)
+from necoh.surface import BoundState, LateralTrap, image_coupling, phonon_kinematics
+
+from _oracles import vertical_ceiling_ghz
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +54,12 @@ def test_trap_lengths():
 
 def test_vertical_limit_is_the_one_to_two_spacing(state):
     # level n binds at -R/n^2, so 1 -> 2 spans 3R/4; R/h is ~2431 GHz in neon
-    assert VERTICAL_LIMIT_GHZ * 1e9 * TWO_PI * HBAR == pytest.approx(0.75 * state.rydberg,
-                                                                      rel=1e-14)
-    assert VERTICAL_LIMIT_GHZ == pytest.approx(1823.3, rel=1e-4)
+    limit = vertical_ceiling_ghz(state.rydberg)
+    assert limit * 1e9 * TWO_PI * HBAR == pytest.approx(0.75 * state.rydberg, rel=1e-14)
+    assert limit == pytest.approx(1823.3, rel=1e-4)
+    with pytest.raises(ValueError, match=r"^f0 must be below 1823\.2 GHz, the vertical 1 -> 2 "):
+        phonon_kinematics(LateralTrap.isotropic_ghz(limit))
+    assert phonon_kinematics(LateralTrap.isotropic_ghz(limit * (1.0 - 1e-12)))[0] == state
 
 
 def test_phonon_kinematics(state):
