@@ -16,18 +16,12 @@ ELECTRON_MASS = 9.1093837015e-28  # g
 HBAR = 1.054571817e-27  # erg s
 BOLTZMANN = 1.380649e-16  # erg/K
 
-CM_PER_NM = 1e-7
-
 TWO_PI = 6.283185307179586
 
 
-def angular_frequency(f_hz: float) -> float:
-    """Angular frequency in rad/s for an ordinary frequency in Hz."""
-    return TWO_PI * f_hz
-
-
 def ghz_to_rad_s(f_ghz: float) -> float:
-    return angular_frequency(f_ghz * 1e9)
+    """Angular frequency in rad/s for an ordinary frequency in GHz."""
+    return TWO_PI * (f_ghz * 1e9)
 
 
 def mk_to_kelvin(t_mk: float) -> float:

@@ -1,8 +1,10 @@
-"""Bundled reference values used by the ``reproduce`` command and the tests.
+"""Bundled reference values that the ``rates`` and ``reproduce`` commands read.
 
 The two tables list lifetimes of the lateral qubit against the two phonon
-channels at 1-10 GHz; the anchors are spot values at the 6.4 GHz operating
-point. The T2 columns equal 2*T1 up to the rounding of the quoted T1.
+channels at 1-10 GHz; ``rates`` sets a cavity lifetime against the quoted
+one. The T2 columns equal 2*T1 up to the rounding of the quoted T1. The spot
+anchors at the 6.4 GHz operating point are read by the acceptance tests
+only, and live there.
 
 Known internal inconsistency, kept as quoted: the cavity (Purcell) lifetime
 PURCELL_T1_QUOTED disagrees by a factor of ~10 with the closed form
@@ -52,24 +54,5 @@ MODULATION_TABLE = (
     ReferenceRow(10.0, 1.7e-4, 3.33e-4),
 )
 
-# spot values at the 6.4 GHz operating point
-OPERATING_F0_GHZ = 6.4
-GAMMA_DISPLACEMENT_REF = 49.4  # s^-1
-GAMMA_MODULATION_REF = 908.0  # s^-1
-RATE_RATIO_REF = 18.4  # modulation / displacement
-T1_VACUUM_REF = 99.0  # s
-
-# binding parameters of the vertical ground state
-BOHR_RADIUS_REF_NM = 1.947
-RYDBERG_REF_ERG = 1.611e-14
-
-# quoted cavity point: g/2pi = 5 MHz, kappa/2pi = 0.5 MHz, Delta/2pi = 500 MHz
-CAVITY_G_MHZ = 5.0
-CAVITY_KAPPA_MHZ = 0.5
-CAVITY_DETUNING_MHZ = 500.0
+# quoted cavity lifetime at g/2pi = 5 MHz, kappa/2pi = 0.5 MHz, Delta/2pi = 500 MHz
 PURCELL_T1_QUOTED = 0.032  # s, ~10x off the closed form (see module docstring)
-
-# wavenumber diagnostics at 6.4 GHz, in 1/m
-ELECTRON_WAVENUMBER_REF = 1.9e7
-PHONON_WAVENUMBER_SILICON_REF = 4.7e6
-PHONON_WAVENUMBER_SAPPHIRE_REF = 3.5e6

@@ -80,24 +80,28 @@ def gamma_phi_one_phonon(trap: LateralTrap, temperature_k: float = 0.0) -> float
 
 @dataclass(frozen=True)
 class ChannelRate:
-    """One decay channel: rate gamma (s^-1), T1 = 1/gamma, T2 = 2*T1 (s)."""
+    """One decay channel: rate gamma (s^-1), T1 = 1/gamma, T2 = 2*T1 (s).
+
+    A non-finite or negative gamma raises ValueError naming the channel.
+    """
 
     name: str
     gamma: float
-    t1: float
-    t2: float
     error_estimate: float = 0.0
 
-    @classmethod
-    def from_gamma(cls, name: str, gamma: float, error_estimate: float = 0.0
-                   ) -> "ChannelRate":
-        if not math.isfinite(gamma):
-            raise ValueError(f"non-finite rate for channel {name}: {gamma!r}")
-        if gamma < 0.0:
-            raise ValueError(f"negative rate for channel {name}")
-        t1 = math.inf if gamma == 0.0 else 1.0 / gamma
-        return cls(name=name, gamma=gamma, t1=t1, t2=2.0 * t1,
-                   error_estimate=error_estimate)
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"non-finite rate for channel {self.name}: {self.gamma!r}")
+        if self.gamma < 0.0:
+            raise ValueError(f"negative rate for channel {self.name}")
+
+    @property
+    def t1(self) -> float:
+        return math.inf if self.gamma == 0.0 else 1.0 / self.gamma
+
+    @property
+    def t2(self) -> float:
+        return 2.0 * self.t1
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
         # channel spends its time on a rate that underflows at such f0 as well
         if gamma < sys.float_info.min:
             raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
-        return ChannelRate.from_gamma(name, factor * gamma, factor * err)
+        return ChannelRate(name, factor * gamma, factor * err)
 
     channels = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
     for name, rate in PHONON_RATES.items():

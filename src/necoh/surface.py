@@ -71,7 +71,8 @@ class LateralTrap:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.omega_x < math.inf:
-            raise ValueError("trap frequency must be positive and finite")
+            raise ValueError(f"trap frequency must be positive and finite: "
+                             f"got {self.omega_x:.6g} rad/s")
 
     @classmethod
     def isotropic_ghz(cls, f0_ghz: float) -> "LateralTrap":

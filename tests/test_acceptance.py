@@ -18,35 +18,46 @@ import numpy as np
 import pytest
 
 from necoh.cli import CLI_SPEC, RunConfig, cmd_rates, main
-from necoh.constants import CM_PER_NM, NEON
+from necoh.constants import NEON
 from necoh.displacement import gamma_displacement, u_p_average
 from necoh.modulation import S_CUTOFF, gamma_modulation, substrate_suppression
 from necoh.numerics import DEFAULT_SPEC, integrate_adaptive, integrate_oscillatory_batch
 from necoh.photon import CavityParams, gamma_purcell, gamma_vacuum
-from necoh.reference import (
-    BOHR_RADIUS_REF_NM,
-    CAVITY_DETUNING_MHZ,
-    CAVITY_G_MHZ,
-    CAVITY_KAPPA_MHZ,
-    DISPLACEMENT_TABLE,
-    ELECTRON_WAVENUMBER_REF,
-    GAMMA_DISPLACEMENT_REF,
-    GAMMA_MODULATION_REF,
-    MODULATION_TABLE,
-    OPERATING_F0_GHZ,
-    PHONON_WAVENUMBER_SAPPHIRE_REF,
-    PHONON_WAVENUMBER_SILICON_REF,
-    PURCELL_T1_QUOTED,
-    RATE_RATIO_REF,
-    RYDBERG_REF_ERG,
-    T1_VACUUM_REF,
-)
-from necoh.report import ChannelRate, build_report, gamma_phi_one_phonon
+from necoh.reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
+from necoh.report import (CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, ChannelRate,
+                          build_report, gamma_phi_one_phonon)
 from necoh.surface import BoundState, LateralTrap
 
 from _oracles import h_closed, up_average_direct
 
 ROW_TOL = 0.03
+
+# quoted spot values at the 6.4 GHz operating point
+OPERATING_F0_GHZ = 6.4
+GAMMA_DISPLACEMENT_REF = 49.4  # s^-1
+GAMMA_MODULATION_REF = 908.0  # s^-1
+RATE_RATIO_REF = 18.4  # modulation / displacement
+T1_VACUUM_REF = 99.0  # s
+
+# quoted binding parameters of the vertical ground state
+BOHR_RADIUS_REF_NM = 1.947
+RYDBERG_REF_ERG = 1.611e-14
+CM_PER_NM = 1e-7
+
+# quoted cavity point: g/2pi = 5 MHz, kappa/2pi = 0.5 MHz, Delta/2pi = 500 MHz
+CAVITY_G_MHZ = 5.0
+CAVITY_KAPPA_MHZ = 0.5
+CAVITY_DETUNING_MHZ = 500.0
+
+# quoted wavenumber diagnostics at 6.4 GHz, in 1/m
+ELECTRON_WAVENUMBER_REF = 1.9e7
+PHONON_WAVENUMBER_SILICON_REF = 4.7e6
+PHONON_WAVENUMBER_SAPPHIRE_REF = 3.5e6
+
+# the abstract: the computed coherence times are "at least one order longer"
+# than the ~0.1 ms observed at ~6.4 GHz
+OBSERVED_T2_S = 1e-4
+ORDER_LONGER = 10.0
 
 _CAPFD = None
 
@@ -75,7 +86,7 @@ def _lifetime_rows(table, rate_fn):
     rows = []
     for row in table:
         gam, _ = rate_fn(LateralTrap.isotropic_ghz(row.f0_ghz))
-        ch = ChannelRate.from_gamma("x", gam)
+        ch = ChannelRate("x", gam)
         rows.append((row, ch))
     elapsed = time.perf_counter() - start
     return rows, elapsed
@@ -116,7 +127,7 @@ def test_criterion_3_operating_point_anchors():
     rel_mod = g_mod / GAMMA_MODULATION_REF - 1.0
     rel_vac = t1_vac / T1_VACUUM_REF - 1.0
     rel_ratio = (g_mod / g_dis) / RATE_RATIO_REF - 1.0
-    ch = ChannelRate.from_gamma("x", g_dis + g_mod + 1.0 / t1_vac)
+    ch = ChannelRate("x", g_dis + g_mod + 1.0 / t1_vac)
     ok = (abs(rel_dis) <= 0.03 and abs(rel_mod) <= 0.03 and abs(rel_vac) <= 0.02
           and abs(rel_ratio) <= 0.10 and ch.t2 == 2.0 * ch.t1)
     line = _verdict(3, "operating point anchors", ok,
@@ -227,4 +238,16 @@ def test_criterion_9_sweep_csv_determinism(tmp_path):
     ok = same and len(path_a.read_bytes()) > 0
     line = _verdict(9, "sweep output determinism", ok,
                     f"{len(path_a.read_bytes())} bytes, identical={same}")
+    assert ok, line
+
+
+def test_criterion_10_phonon_coherence_beyond_the_observed():
+    rep = build_report(OPERATING_F0_GHZ, temperature_mk=10.0, spec=CLI_SPEC)
+    dis, mod = rep.channel(CHANNEL_DISPLACEMENT), rep.channel(CHANNEL_MODULATION)
+    t2 = ChannelRate("phonon", dis.gamma + mod.gamma).t2
+    ok = t2 >= ORDER_LONGER * OBSERVED_T2_S
+    line = _verdict(10, "phonon coherence beyond the observed", ok,
+                    f"phonon T2 {t2 * 1e3:.3g} ms (displacement {dis.t2 * 1e3:.3g} ms, "
+                    f"modulation {mod.t2 * 1e3:.3g} ms), {t2 / OBSERVED_T2_S:.1f}x "
+                    f"the observed {OBSERVED_T2_S * 1e3:g} ms")
     assert ok, line

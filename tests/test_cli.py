@@ -255,6 +255,14 @@ def test_main_refuses_f0_at_the_vertical_spacing(argv, flag, capfd):
     assert len(err.splitlines()) == 1
 
 
+def test_main_names_an_f0_whose_trap_frequency_overflows(capfd):
+    # 1e300 GHz passes the float parse, but 2 pi 1e309 rad/s is inf
+    assert main(["rates", "--kernel", "exact", "--f0-ghz", "1e300"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: f0-ghz: trap frequency must be positive and finite: got inf rad/s\n"
+
+
 # one ulp below 3R/(4h) as a float, but the rates' f0, recomputed from the
 # trap's angular frequency, rounds up onto it
 _ULP_BELOW_SPACING = "1823.2669684769592"

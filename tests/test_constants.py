@@ -20,7 +20,6 @@ def test_two_pi_literal():
 
 
 def test_frequency_helpers():
-    assert constants.angular_frequency(1.0) == constants.TWO_PI
     assert constants.ghz_to_rad_s(1.0) == constants.TWO_PI * 1e9
     assert constants.ghz_to_rad_s(6.4) == pytest.approx(4.021238596594935e10, rel=1e-14)
 

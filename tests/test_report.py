@@ -91,13 +91,13 @@ def test_dephasing_rate_is_exactly_zero():
 
 
 def test_channel_rate_doubling_is_bitwise():
-    ch = ChannelRate.from_gamma("x", 3.7)
+    ch = ChannelRate("x", 3.7)
     assert ch.t1 == 1.0 / 3.7
     assert ch.t2 == 2.0 * ch.t1
 
 
 def test_channel_rate_zero_rate_never_decays():
-    ch = ChannelRate.from_gamma("x", 0.0)
+    ch = ChannelRate("x", 0.0)
     assert ch.t1 == math.inf
     assert ch.t2 == math.inf
 
@@ -123,14 +123,20 @@ def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
 
 
 def test_channel_rate_rejects_negative():
-    with pytest.raises(ValueError):
-        ChannelRate.from_gamma("x", -1.0)
+    with pytest.raises(ValueError, match="^negative rate for channel x$"):
+        ChannelRate("x", -1.0)
 
 
-@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
 def test_channel_rate_rejects_non_finite(gamma):
-    with pytest.raises(ValueError, match="channel modulation"):
-        ChannelRate.from_gamma("modulation", gamma)
+    with pytest.raises(ValueError, match="^non-finite rate for channel modulation: "):
+        ChannelRate("modulation", gamma)
+
+
+def test_channel_rate_takes_no_lifetimes():
+    # T1 and T2 follow from gamma, so no rate can carry lifetimes that contradict it
+    with pytest.raises(TypeError):
+        ChannelRate("x", 1.0, 5.0, 3.0)
 
 
 @settings(deadline=None, max_examples=100)
@@ -144,7 +150,7 @@ def test_displacement_channel_properties(f0, t_mk, kernel):
     stim = 1.0 + thermal_occupation(trap.omega_x, mk_to_kelvin(t_mk))
     gamma, err = gamma_displacement(trap, mode=kernel, spec=CLI_SPEC)
     assert math.isfinite(stim * gamma) and stim * gamma > 0.0
-    ch = ChannelRate.from_gamma("displacement", stim * gamma, stim * err)
+    ch = ChannelRate("displacement", stim * gamma, stim * err)
     assert ch.t2 == 2.0 * ch.t1
     doubled = LateralTrap(2.0 * trap.omega_x)
     assert gamma_vacuum(doubled) / gamma_vacuum(trap) == pytest.approx(4.0, rel=1e-14)

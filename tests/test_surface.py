@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -110,3 +111,11 @@ def test_trap_rejects_non_finite_frequencies(bad):
         LateralTrap(bad)
     with pytest.raises(ValueError, match="finite"):
         LateralTrap.isotropic_ghz(bad)
+
+
+@pytest.mark.parametrize("f0_ghz, got", [(1e300, "inf"), (-6.4, "-4.02124e+10")])
+def test_trap_refusal_names_the_frequency(f0_ghz, got):
+    # 1e300 GHz is finite, but its angular frequency overflows to inf rad/s
+    want = f"trap frequency must be positive and finite: got {got} rad/s"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        LateralTrap.isotropic_ghz(f0_ghz)
