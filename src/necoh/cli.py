@@ -343,7 +343,7 @@ def render_rates(rep: CoherenceReport, fmt: str) -> str:
         "",
         _rates_line("channel", _RATE_KEYS),
         *(_rates_line(ch.name, map(_fmt9, _channel_row(ch))) for ch in rep.channels),
-        _rates_line("total", map(_fmt9, (rep.total_gamma, rep.total_t1, rep.total_t2))),
+        _rates_line("total", map(_fmt9, _channel_row(rep.total))),
         "",
         f"gamma_phi = {_fmt9(rep.gamma_phi)} 1/s (one-phonon dephasing)",
         f"thermal occupation = {_fmt9(rep.occupation)}",
@@ -417,8 +417,8 @@ def cmd_reproduce(cfg: RunConfig, out=None) -> int:
               f"{'rel_err':>9} status\n")
     failures = 0
     for row in table:
-        gam, _ = rate(LateralTrap.isotropic_ghz(row.f0_ghz), KernelMode(cfg.kernel), CLI_SPEC)
-        t1 = 1.0 / gam
+        trap = LateralTrap.isotropic_ghz(row.f0_ghz)
+        t1 = ChannelRate(channel, *rate(trap, KernelMode(cfg.kernel), CLI_SPEC)).t1
         rel = t1 / row.t1_s - 1.0
         ok = abs(rel) <= cfg.tol
         failures += 0 if ok else 1

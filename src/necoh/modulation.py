@@ -99,30 +99,26 @@ class SubstrateDiagnostics:
     """Wavenumber matching between the trapped electron and substrate phonons.
 
     The electron's in-plane wavenumber content is ~1/a_x; a phonon at the
-    qubit frequency in the substrate carries w0/c_substrate. When the ratio
-    exceeds ~2 the form-factor overlap is negligible and direct emission into
-    the substrate is suppressed.
+    qubit frequency in the substrate carries w0/c_substrate. When their ratio
+    k_e/k_ph exceeds ~2 the form-factor overlap is negligible and direct
+    emission into the substrate is suppressed.
     """
 
     material: str
     phonon_wavenumber: float  # 1/cm
     electron_wavenumber: float  # 1/cm
-    wavenumber_ratio: float
-    suppressed: bool
+
+    @property
+    def wavenumber_ratio(self) -> float:
+        return self.electron_wavenumber / self.phonon_wavenumber
+
+    @property
+    def suppressed(self) -> bool:
+        return self.wavenumber_ratio > SUPPRESSION_THRESHOLD
 
 
 def substrate_suppression(trap: LateralTrap) -> tuple[SubstrateDiagnostics, ...]:
     """Wavenumber-mismatch diagnostics for phonon leakage into each substrate."""
     k_e = 1.0 / trap.length_x
-    rows = []
-    for sub in SUBSTRATES:
-        k_ph = trap.omega_x / sub.sound_speed
-        ratio = k_e / k_ph
-        rows.append(SubstrateDiagnostics(
-            material=sub.name,
-            phonon_wavenumber=k_ph,
-            electron_wavenumber=k_e,
-            wavenumber_ratio=ratio,
-            suppressed=bool(ratio > SUPPRESSION_THRESHOLD),
-        ))
-    return tuple(rows)
+    return tuple(SubstrateDiagnostics(sub.name, trap.omega_x / sub.sound_speed, k_e)
+                 for sub in SUBSTRATES)

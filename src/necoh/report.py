@@ -82,7 +82,8 @@ def gamma_phi_one_phonon(trap: LateralTrap, temperature_k: float = 0.0) -> float
 class ChannelRate:
     """One decay channel: rate gamma (s^-1), T1 = 1/gamma, T2 = 2*T1 (s).
 
-    A non-finite or negative gamma raises ValueError naming the channel.
+    A non-finite or negative gamma or error estimate raises ValueError naming
+    the channel.
     """
 
     name: str
@@ -94,6 +95,9 @@ class ChannelRate:
             raise ValueError(f"non-finite rate for channel {self.name}: {self.gamma!r}")
         if self.gamma < 0.0:
             raise ValueError(f"negative rate for channel {self.name}")
+        if not 0.0 <= self.error_estimate < math.inf:
+            raise ValueError(f"error estimate for channel {self.name} must be finite "
+                             f"and >= 0: got {self.error_estimate!r}")
 
     @property
     def t1(self) -> float:
@@ -122,17 +126,10 @@ class CoherenceReport:
         raise KeyError(f"no channel named {name!r}")
 
     @property
-    def total_gamma(self) -> float:
-        return sum(ch.gamma for ch in self.channels)
-
-    @property
-    def total_t1(self) -> float:
-        g = self.total_gamma
-        return math.inf if g == 0.0 else 1.0 / g
-
-    @property
-    def total_t2(self) -> float:
-        return 2.0 * self.total_t1
+    def total(self) -> ChannelRate:
+        """All channels as one: the summed rates and error estimates."""
+        return ChannelRate("total", sum(ch.gamma for ch in self.channels),
+                           sum(ch.error_estimate for ch in self.channels))
 
 
 def build_report(f0_ghz: float, temperature_mk: float = 10.0,

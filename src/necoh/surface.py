@@ -26,34 +26,39 @@ def image_coupling(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class BoundState:
-    """Vertical binding parameters of the image-potential ground state.
+    """Vertical binding of the image-potential ground state, set by Lambda alone.
 
     Attributes
     ----------
     lam : float
-        Image coupling Lambda, erg cm.
-    bohr_radius : float
-        Effective Bohr radius r_B = hbar^2 / (Lambda m_e), cm.
-    rydberg : float
-        Effective Rydberg R = hbar^2 / (2 m_e r_B^2), erg. Level n binds
-        with energy -R/n^2.
+        Image coupling Lambda, erg cm, finite and > 0 (else ValueError).
 
     The ground-state density (4/r_B)(z/r_B)^2 e^(-2z/r_B), peaked at r_B with
     <z> = 1.5 r_B, is the weight 4 s^2 e^(-2s) of both phonon channels.
     """
 
     lam: float
-    bohr_radius: float
-    rydberg: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"image coupling must be positive and finite: "
+                             f"got {self.lam:.6g} erg cm")
 
     @classmethod
     def for_material(cls, material: Material = NEON) -> "BoundState":
         if material.epsilon is None:
             raise ValueError(f"{material.name} has no dielectric constant set")
-        lam = image_coupling(material.epsilon)
-        r_b = HBAR ** 2 / (lam * ELECTRON_MASS)
-        ryd = HBAR ** 2 / (2.0 * ELECTRON_MASS * r_b ** 2)
-        return cls(lam=lam, bohr_radius=r_b, rydberg=ryd)
+        return cls(lam=image_coupling(material.epsilon))
+
+    @property
+    def bohr_radius(self) -> float:
+        """Effective Bohr radius r_B = hbar^2 / (Lambda m_e), cm."""
+        return HBAR ** 2 / (self.lam * ELECTRON_MASS)
+
+    @property
+    def rydberg(self) -> float:
+        """Effective Rydberg R = hbar^2 / (2 m_e r_B^2), erg; level n binds at -R/n^2."""
+        return HBAR ** 2 / (2.0 * ELECTRON_MASS * self.bohr_radius ** 2)
 
 
 @dataclass(frozen=True)

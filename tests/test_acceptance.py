@@ -164,7 +164,7 @@ def test_criterion_5_dephasing_and_doubling():
         rep = build_report(f0, temperature_mk=10.0, cavity=cav, spec=CLI_SPEC)
         ok = ok and rep.gamma_phi == 0.0 and rep.occupation >= 0.0
         ok = ok and all(ch.t2 == 2.0 * ch.t1 for ch in rep.channels)
-        ok = ok and rep.total_t2 == 2.0 * rep.total_t1
+        ok = ok and rep.total.t2 == 2.0 * rep.total.t1
         trap = LateralTrap.isotropic_ghz(f0)
         ok = ok and gamma_phi_one_phonon(trap) == 0.0
         ok = ok and gamma_phi_one_phonon(trap, temperature_k=0.3) == 0.0

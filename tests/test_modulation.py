@@ -94,9 +94,7 @@ def test_rate_refuses_f0_at_the_vertical_spacing(state, scale, shown):
     # r_B scaled by k binds with R / k^2, so that state's own 3R/(4h) is
     # neon's / k^2: 28.49 GHz for k = 8, which neon's state accepts; the
     # message rounds the ceiling down, never above a refused f0
-    custom = None if scale == 1 else BoundState(
-        lam=state.lam / scale, bohr_radius=scale * state.bohr_radius,
-        rydberg=state.rydberg / scale ** 2)
+    custom = None if scale == 1 else BoundState(lam=state.lam / scale)
     limit = vertical_ceiling_ghz((custom or state).rydberg)
     assert limit == vertical_ceiling_ghz(state.rydberg) / scale ** 2
     message = re.escape(f"f0 must be below {shown} GHz, the vertical 1 -> 2 spacing")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -133,6 +134,14 @@ def test_channel_rate_rejects_non_finite(gamma):
         ChannelRate("modulation", gamma)
 
 
+@pytest.mark.parametrize("err", [-5.0, -math.inf, math.inf, math.nan])
+def test_channel_rate_rejects_a_bad_error_estimate(err):
+    # a report's total sums the estimates, so one bad estimate would spoil it too
+    want = f"error estimate for channel cavity must be finite and >= 0: got {err!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        ChannelRate("cavity", 1.0, err)
+
+
 def test_channel_rate_takes_no_lifetimes():
     # T1 and T2 follow from gamma, so no rate can carry lifetimes that contradict it
     with pytest.raises(TypeError):
@@ -181,9 +190,12 @@ def test_report_phonon_channels_carry_stimulation(report):
 
 
 def test_report_totals(report):
-    assert report.total_gamma == sum(c.gamma for c in report.channels)
-    assert report.total_t1 == pytest.approx(1.0 / report.total_gamma, rel=1e-15)
-    assert report.total_t2 == 2.0 * report.total_t1
+    total = report.total
+    assert total.name == "total"
+    assert total.gamma == sum(c.gamma for c in report.channels)
+    assert total.error_estimate == sum(c.error_estimate for c in report.channels)
+    assert total.t1 == pytest.approx(1.0 / total.gamma, rel=1e-15)
+    assert total.t2 == 2.0 * total.t1
 
 
 def test_report_t2_doubling_every_channel(report):

@@ -6,7 +6,7 @@ import pytest
 
 from necoh.cli import CLI_SPEC
 from necoh.constants import ELEMENTARY_CHARGE, ELECTRON_MASS, HBAR, NEON, SILICON, TWO_PI
-from necoh.displacement import gamma_displacement
+from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
 from necoh.surface import BoundState, LateralTrap, image_coupling, phonon_kinematics
 
@@ -71,8 +71,7 @@ def test_phonon_kinematics(state):
     assert got == state
     assert alpha == pytest.approx(w0 / c * state.bohr_radius, rel=1e-14)
     assert beta == pytest.approx(HBAR * w0 / (2.0 * ELECTRON_MASS * c * c), rel=1e-14)
-    custom = BoundState(lam=state.lam, bohr_radius=2.0 * state.bohr_radius,
-                        rydberg=state.rydberg)
+    custom = BoundState(lam=state.lam / 2.0)
     assert phonon_kinematics(trap, state=custom)[:2] == (custom, pytest.approx(2.0 * alpha))
     with pytest.raises(ValueError, match="silicon has no density set"):
         phonon_kinematics(trap, SILICON)
@@ -94,6 +93,44 @@ def test_phonon_rates_scale_as_one_over_density():
     for rate in (gamma_modulation, gamma_displacement):
         gamma = rate(trap, spec=CLI_SPEC)[0]
         assert rate(trap, denser, spec=CLI_SPEC)[0] == pytest.approx(gamma / 2.0, rel=1e-14)
+
+
+def test_phonon_rates_scale_as_the_fifth_power(state):
+    # w0 -> k^2 w0, c -> k c and Lambda -> k Lambda (so r_B -> r_B / k) leave
+    # alpha and beta as they are. With the rate linear in 1/rho, dimensional
+    # analysis leaves rate = w0 hbar / (rho c r_B^4) H(alpha, beta), which
+    # grows by k^5: a prefactor of the wrong dimension (say c^8 for c^9)
+    # breaks it, an extra dimensionless factor of alpha or beta does not
+    rates = {"modulation": lambda *args: gamma_modulation(*args, spec=CLI_SPEC)[0]}
+    for mode in KernelMode:
+        rates[f"displacement {mode.value}"] = (
+            lambda *args, mode=mode: gamma_displacement(*args, mode=mode, spec=CLI_SPEC)[0])
+    for f0 in (1.0, 6.4, 10.0):
+        trap = LateralTrap.isotropic_ghz(f0)
+        for name, rate in rates.items():
+            gamma = rate(trap, NEON, state)
+            for k in (0.5, 3.0):
+                scaled = rate(LateralTrap(k * k * trap.omega_x),
+                              dataclasses.replace(NEON, sound_speed=k * NEON.sound_speed),
+                              BoundState(lam=k * state.lam))
+                assert scaled == pytest.approx(k ** 5 * gamma, rel=1e-14), (name, f0, k)
+
+
+@pytest.mark.parametrize("lam, got", [(0.0, "0"), (-4.2e-21, "-4.2e-21"), (math.nan, "nan"),
+                                      (math.inf, "inf")])
+def test_bound_state_refusal_names_the_coupling(lam, got):
+    # a negative coupling would give a negative Bohr radius
+    want = f"image coupling must be positive and finite: got {got} erg cm"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        BoundState(lam=lam)
+
+
+def test_bound_state_takes_no_derived_scales(state):
+    # r_B and R follow from Lambda, so no state can carry scales that contradict it
+    with pytest.raises(TypeError):
+        BoundState(state.lam, 2.0 * state.bohr_radius, state.rydberg)
+    with pytest.raises(TypeError):
+        BoundState(lam=state.lam, bohr_radius=2.0 * state.bohr_radius, rydberg=state.rydberg)
 
 
 def test_trap_rejects_nonpositive_frequencies():
