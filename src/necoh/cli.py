@@ -205,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--kernel", choices=_KERNELS,
-                        help="displacement vertical kernel (default approx)")
+                        help="vertical kernel of the displacement channel (default "
+                             "approx); the modulation channel (table 2) has none")
     channels = argparse.ArgumentParser(add_help=False, parents=[common])
     channels.add_argument("--format", choices=_FORMATS, help="output format (default table)")
     channels.add_argument("--temperature-mk", type=float,

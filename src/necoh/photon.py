@@ -47,11 +47,17 @@ class CavityParams:
     detuning: float
 
     def __post_init__(self) -> None:
+        # each refusal names the value in rad/s, where a finite MHz value can
+        # have overflowed
         for name in ("g", "kappa", "detuning"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"cavity {name} must be finite")
-        if self.g < 0.0 or self.kappa < 0.0:
-            raise ValueError("g and kappa must be non-negative")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"cavity {name} must be finite: got {value:.6g} rad/s")
+        for name in ("g", "kappa"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"g and kappa must be non-negative: "
+                                 f"got {name} = {value:.6g} rad/s")
         if self.detuning == 0.0:
             raise ValueError("detuning must be nonzero in the dispersive limit")
 

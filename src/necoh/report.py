@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .constants import BOLTZMANN, HBAR, mk_to_kelvin
+from .constants import BOLTZMANN, HBAR, ghz_to_rad_s, mk_to_kelvin
 from .displacement import KernelMode, gamma_displacement
 from .modulation import SubstrateDiagnostics, gamma_modulation, substrate_suppression
 from .numerics import DEFAULT_SPEC, QuadratureSpec
@@ -110,14 +110,45 @@ class ChannelRate:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """All channels of one operating point, plus diagnostics."""
+    """One operating point and every channel's bare (T = 0) rate, in report order.
+
+    The rest is derived: ``replace(rep, temperature_mk=t)`` moves a report to
+    another T with no rate call (another f0 needs new bare rates). ``channels``
+    multiplies each phonon rate (``PHONON_RATES``) and its error by 1 + n, n
+    the thermal ``occupation`` at the qubit frequency: a phonon T1 is the
+    emission lifetime 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)),
+    which adds the absorption rate gamma n (36% apart at 300 mK and 6.4 GHz,
+    5e-14 at 10 mK). Photon channels pass through at zero occupation, where
+    their closed forms hold exactly. ValueError refuses a temperature that is
+    not finite and >= 0 and rates whose total overflows.
+    """
 
     f0_ghz: float
     temperature_mk: float
-    channels: tuple[ChannelRate, ...]
-    gamma_phi: float
-    occupation: float
-    substrates: tuple[SubstrateDiagnostics, ...]
+    bare: tuple[ChannelRate, ...]
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(sum(ch.gamma for ch in self.channels)):
+            raise ValueError(f"total rate is not finite at f0 = {self.f0_ghz:g} GHz")
+
+    @property
+    def occupation(self) -> float:
+        return thermal_occupation(ghz_to_rad_s(self.f0_ghz), mk_to_kelvin(self.temperature_mk))
+
+    @property
+    def channels(self) -> tuple[ChannelRate, ...]:
+        stim = 1.0 + self.occupation
+        return tuple(ChannelRate(ch.name, stim * ch.gamma, stim * ch.error_estimate)
+                     if ch.name in PHONON_RATES else ch for ch in self.bare)
+
+    @property
+    def gamma_phi(self) -> float:
+        return gamma_phi_one_phonon(LateralTrap.isotropic_ghz(self.f0_ghz),
+                                    temperature_k=mk_to_kelvin(self.temperature_mk))
+
+    @property
+    def substrates(self) -> tuple[SubstrateDiagnostics, ...]:
+        return substrate_suppression(LateralTrap.isotropic_ghz(self.f0_ghz))
 
     def channel(self, name: str) -> ChannelRate:
         for ch in self.channels:
@@ -136,54 +167,30 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
                  cavity: CavityParams | None = None,
                  kernel: KernelMode = KernelMode.LOG_APPROX,
                  spec: QuadratureSpec = DEFAULT_SPEC) -> CoherenceReport:
-    """Evaluate every channel at one trap frequency.
+    """Evaluate every channel's bare rate at one trap frequency.
 
-    Phonon channels carry the stimulated-emission factor (1 + n) with n the
-    thermal occupation at the qubit frequency, so a phonon T1 is
-    1/(gamma (1 + n)), the emission lifetime. It is not the two-level
-    relaxation time 1/(gamma (1 + 2n)), which adds the absorption rate
-    gamma n; the two differ by 36% at 300 mK and 6.4 GHz and by 5e-14 at
-    10 mK. Photon channels are evaluated at zero occupation, where the
-    closed forms below hold exactly. A bare rate below the smallest normal
-    float raises ValueError naming the channel and f0: a vacuum or phonon rate
-    at tiny f0 (e.g. 1e-52 GHz), a cavity rate at g = 0, kappa = 0 or where
-    g^2 kappa underflows, so no channel reports an infinite T1, and finite
-    rates whose total overflows raise ValueError too. Other inputs are
-    refused with ValueError where they are used: f0 by ``LateralTrap`` and
-    by the phonon rates (``phonon_kinematics``), T by ``thermal_occupation``.
-    """
+    A bare rate below the smallest normal float raises ValueError naming the
+    channel and f0 (a vacuum or phonon rate at tiny f0, e.g. 1e-52 GHz; a
+    cavity rate at g = 0, kappa = 0 or where g^2 kappa underflows), so no
+    channel reports an infinite T1. ``LateralTrap`` and ``phonon_kinematics``
+    refuse f0, ``thermal_occupation`` T before any rate runs, and
+    ``CoherenceReport`` a total that overflows."""
     trap = LateralTrap.isotropic_ghz(f0_ghz)
-    t_k = mk_to_kelvin(temperature_mk)
-    n_q = thermal_occupation(trap.omega_x, t_k)
-    stim = 1.0 + n_q
+    thermal_occupation(trap.omega_x, mk_to_kelvin(temperature_mk))  # T refused before any rate
 
-    def positive(name: str, gamma: float, err: float = 0.0, factor: float = 1.0
-                 ) -> ChannelRate:
-        # these rates are positive at every f0 > 0 (the cavity's at g, kappa
-        # > 0), so a bare rate that is 0 or subnormal has lost its digits to
-        # underflow (the factor 1 + n would hide that); refused before a later
-        # channel spends its time on a rate that underflows at such f0 as well
+    def positive(name: str, gamma: float, err: float = 0.0) -> ChannelRate:
+        # positive at every f0 > 0 (the cavity's at g, kappa > 0), so a rate
+        # that is 0 or subnormal has lost its digits to underflow; refused before
+        # a later channel spends its time on a rate that underflows there as well
         if gamma < sys.float_info.min:
             raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
-        return ChannelRate(name, factor * gamma, factor * err)
+        return ChannelRate(name, gamma, err)
 
-    channels = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
-    for name, rate in PHONON_RATES.items():
-        gamma, err = rate(trap, kernel, spec)
-        channels.append(positive(name, gamma, err, stim))
+    bare = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
+    bare += [positive(name, *rate(trap, kernel, spec)) for name, rate in PHONON_RATES.items()]
     if cavity is not None:
-        channels.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
-
-    if not math.isfinite(sum(ch.gamma for ch in channels)):
-        raise ValueError(f"total rate is not finite at f0 = {f0_ghz:g} GHz")
-    return CoherenceReport(
-        f0_ghz=f0_ghz,
-        temperature_mk=temperature_mk,
-        channels=tuple(channels),
-        gamma_phi=gamma_phi_one_phonon(trap, temperature_k=t_k),
-        occupation=n_q,
-        substrates=substrate_suppression(trap),
-    )
+        bare.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
+    return CoherenceReport(f0_ghz, temperature_mk, tuple(bare))
 
 
 def sweep(f0_ghz_values, temperature_mk: float = 10.0,

@@ -160,6 +160,17 @@ def test_main_refuses_non_finite_input(flag, value, named, capfd):
     assert err.startswith("error: ") and f"{named} must be finite" in err
 
 
+@pytest.mark.parametrize("cavity, err", [
+    # 1e308 GHz is finite as typed and overflows on its way to rad/s
+    ("g=1e308GHz,kappa=0.5,detuning=500", "error: cavity g must be finite: got inf rad/s\n"),
+    ("g=-5,kappa=0.5,detuning=500",
+     "error: g and kappa must be non-negative: got g = -3.14159e+07 rad/s\n"),
+], ids=["overflows", "negative"])
+def test_main_names_the_refused_cavity_value(cavity, err, capfd):
+    assert main(["rates", "--cavity", cavity]) == 2
+    assert capfd.readouterr() == ("", err)
+
+
 def test_main_refuses_an_overflowing_rate(capfd):
     # the stimulated-emission factor at 1e308 mK overflows the modulation rate
     assert main(["rates", "--temperature-mk", "1e308", "--format", "csv"]) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import pytest
@@ -59,6 +60,16 @@ def test_cavity_rejects_non_finite(field, bad):
     values = {"g_mhz": 5.0, "kappa_mhz": 0.5, "detuning_mhz": 500.0, f"{field}_mhz": bad}
     with pytest.raises(ValueError, match=f"cavity {field} must be finite"):
         CavityParams.from_mhz(**values)
+
+
+@pytest.mark.parametrize("mhz, message", [
+    # finite in MHz, inf once it is scaled to rad/s
+    ((1e306, 0.5, 500.0), "cavity g must be finite: got inf rad/s"),
+    ((5.0, -0.5, 500.0), "g and kappa must be non-negative: got kappa = -3.14159e+06 rad/s"),
+], ids=["overflows", "negative"])
+def test_cavity_refusal_names_the_value(mhz, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CavityParams.from_mhz(*mhz)
 
 
 def test_purcell_hand_value():

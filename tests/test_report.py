@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import necoh.report as report_module
-from necoh.cli import CLI_SPEC
+from necoh.cli import CLI_SPEC, render_rates
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
 from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
 from necoh.photon import CavityParams, gamma_vacuum
 from necoh.report import (
     ChannelRate,
+    CoherenceReport,
     build_report,
     gamma_phi_one_phonon,
     sweep,
@@ -121,6 +123,48 @@ def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
     monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1e308, 0.0))
     with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
         build_report(6.4)
+
+
+def test_report_takes_no_derived_rows():
+    # occupation, channels, gamma_phi and substrates follow from these three,
+    # so no report can carry rows that contradict its temperature
+    assert [f.name for f in dataclasses.fields(CoherenceReport)] == [
+        "f0_ghz", "temperature_mk", "bare"]
+
+
+def test_a_temperature_change_needs_no_rate_call(monkeypatch):
+    calls = []
+
+    def stub(gamma):
+        def rate(trap, **kw):
+            calls.append(trap)
+            return gamma, 1e-9 * gamma
+        return rate
+
+    monkeypatch.setattr(report_module, "gamma_displacement", stub(24.7))
+    monkeypatch.setattr(report_module, "gamma_modulation", stub(444.0))
+    cold = build_report(6.4, 10.0)
+    assert len(calls) == 2
+    moved = dataclasses.replace(cold, temperature_mk=300.0)
+    assert len(calls) == 2
+    hot = build_report(6.4, 300.0)
+    for fmt in ("table", "csv", "json"):
+        assert render_rates(moved, fmt) == render_rates(hot, fmt)
+        assert render_rates(moved, fmt) != render_rates(cold, fmt)
+
+
+@pytest.mark.parametrize("t_mk", [-4.0, math.nan])
+def test_report_refuses_a_temperature_built_directly(t_mk):
+    with pytest.raises(ValueError, match="^temperature must be finite and >= 0$"):
+        CoherenceReport(6.4, t_mk, (ChannelRate("vacuum", 0.01),))
+
+
+def test_report_refuses_bare_rates_whose_thermal_total_overflows():
+    # each stimulated rate stays finite (n ~ 325 at 100 K and 6.4 GHz), their sum does not
+    bare = (ChannelRate("displacement", 4e305), ChannelRate("modulation", 4e305))
+    assert CoherenceReport(6.4, 0.0, bare).total.gamma == 8e305
+    with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
+        CoherenceReport(6.4, 1e5, bare)
 
 
 def test_channel_rate_rejects_negative():
