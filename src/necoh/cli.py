@@ -30,7 +30,7 @@ import numpy as np
 
 from .displacement import KernelMode, kernel_kinematics
 from .numerics import ConvergenceError, QuadratureSpec
-from .photon import CavityParams
+from .photon import CavityParams, DispersiveLimitWarning
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
 from .report import (CHANNEL_CAVITY, CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, PHONON_RATES,
                      ChannelRate, CoherenceReport, build_report, sweep)
@@ -443,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         commands = {"rates": cmd_rates, "sweep": cmd_sweep, "reproduce": cmd_reproduce}
         with warnings.catch_warnings():
+            # shown once per call site and command, whatever the caller's filters
+            warnings.simplefilter("default", DispersiveLimitWarning)
             warnings.showwarning = _show_warning
             return commands[args.command](cfg)
     except ConfigError as exc:

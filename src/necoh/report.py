@@ -190,7 +190,8 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     bare += [positive(name, *rate(trap, kernel, spec)) for name, rate in PHONON_RATES.items()]
     if cavity is not None:
         bare.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
-    return CoherenceReport(f0_ghz, temperature_mk, tuple(bare))
+    # + 0.0 turns -0.0 into 0.0, so no output prints a negative zero temperature
+    return CoherenceReport(f0_ghz, temperature_mk + 0.0, tuple(bare))
 
 
 def sweep(f0_ghz_values, temperature_mk: float = 10.0,

@@ -29,6 +29,14 @@ from necoh.surface import BoundState
 from _oracles import log_kernel_ceiling_ghz, vertical_ceiling_ghz
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which strict parsers reject."""
+    def refuse(constant: str):
+        raise ValueError(f"non-finite number in JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # --- config files ---
 
 def test_parse_config_roundtrip(tmp_path):
@@ -217,21 +225,48 @@ def test_main_refuses_a_non_finite_occupation(argv, capfd):
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's necoh on its path."""
+    """A fresh interpreter with this checkout's necoh on its path, which
+    treats every warning as an error, as the tests themselves do."""
     src = str(Path(necoh.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+def test_warnings_are_errors_here_and_in_child_interpreters():
+    # guards the policy in pyproject.toml and in _run_python: without it a
+    # floating-point overflow in a rate is a warning that no test sees
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.float64(1e308) * 10
+    res = _run_python("-c", "import numpy as np; np.float64(1e308) * 10")
+    assert res.returncode == 1 and "RuntimeWarning: overflow" in res.stderr
+
+
+_DISPERSIVE_CAVITY = "g=5,kappa=0.5,detuning=10"
+_DISPERSIVE_WARNING = ("warning: g/|detuning| = 0.500 exceeds 0.1; dispersive Purcell "
+                       "formula is outside its validity range\n")
+
+
 def test_dispersive_limit_warning_is_one_stderr_line():
     res = _run_python("-m", "necoh", "rates", "--f0-ghz", "1", "--format", "csv",
-                      "--cavity", "g=5,kappa=0.5,detuning=10")
+                      "--cavity", _DISPERSIVE_CAVITY)
     assert res.returncode == 0
-    assert res.stderr == ("warning: g/|detuning| = 0.500 exceeds 0.1; dispersive Purcell "
-                          "formula is outside its validity range\n")
+    assert res.stderr == _DISPERSIVE_WARNING
     assert [r.split(",")[0] for r in res.stdout.splitlines()] == [
         "channel", "vacuum", "displacement", "modulation", "cavity"]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["rates", "--f0-ghz", "1"], 2),
+    (["sweep", "--points", "2"], 1),
+], ids=["rates-twice", "sweep"])
+def test_dispersive_limit_warning_is_one_line_per_main_call(argv, calls, monkeypatch, capfd):
+    # in process, under the tests' error filter: one line per call, however
+    # many grid points warn
+    _stub_phonon_rates(monkeypatch)
+    for _ in range(calls):
+        assert main(argv + ["--format", "csv", "--cavity", _DISPERSIVE_CAVITY]) == 0
+    assert capfd.readouterr().err == calls * _DISPERSIVE_WARNING
 
 
 def test_main_refuses_log_kernel_past_its_limit(capfd):
@@ -487,7 +522,7 @@ def test_rates_json_shape():
     buf = io.StringIO()
     cfg = RunConfig(f0_ghz=2.0, format="json", cavity="g=5,kappa=0.5,detuning=500")
     assert cmd_rates(cfg, out=buf) == 0
-    obj = json.loads(buf.getvalue())
+    obj = strict_json(buf.getvalue())
     assert obj["f0_ghz"] == 2.0
     names = [ch["name"] for ch in obj["channels"]]
     assert names == ["vacuum", "displacement", "modulation", "cavity"]
@@ -537,7 +572,7 @@ def test_rates_table_ratio_keeps_its_column(f0):
     rows = [line.split() for line in tables["table"].splitlines()
             if line.startswith(("silicon", "sapphire"))]
     want = {s["material"]: s["wavenumber_ratio"]
-            for s in json.loads(tables["json"])["substrates"]}
+            for s in strict_json(tables["json"])["substrates"]}
     assert [row[0] for row in rows] == list(want)
     for material, _k_phonon, _k_electron, ratio, suppressed in rows:
         assert float(ratio) == pytest.approx(want[material], rel=1e-2)
@@ -600,16 +635,20 @@ def test_exact_kernel_through_cli(capfd):
     assert "vacuum" in capfd.readouterr().out
 
 
-def test_cli_flags_override_config_file(tmp_path, capfd):
+def test_cli_flags_override_config_file(tmp_path, monkeypatch, capfd):
+    # a temperature of -0, from the file or a flag, prints as 0
+    _stub_phonon_rates(monkeypatch)
     path = tmp_path / "run.cfg"
-    path.write_text("f0_ghz = 1.0\nformat = json\n", encoding="utf-8")
+    path.write_text("f0_ghz = 1.0\nformat = json\ntemperature_mk = -0.0\n", encoding="utf-8")
     assert main(["rates", "--config", str(path), "--format", "table"]) == 0
     out = capfd.readouterr().out
-    assert out.startswith("f0 = 1 GHz")
+    assert out.startswith("f0 = 1 GHz, T = 0 mK\n")
+    assert main(["rates", "--config", str(path), "--temperature-mk", "-0"]) == 0
+    assert math.copysign(1.0, strict_json(capfd.readouterr().out)["temperature_mk"]) == 1.0
 
 
 # Runs in a fresh interpreter: lists the scipy and numpy.polynomial modules
-# loaded after ``import necoh``, after ``import necoh.cli`` and after four CLI
+# loaded after ``import necoh``, after ``import necoh.cli`` and after five CLI
 # commands, with the exit code of each command.
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
@@ -624,6 +663,7 @@ from necoh.cli import main
 seen["import necoh.cli"] = unwanted_modules()
 codes = []
 for argv in (["rates", "--kernel", "approx"], ["rates", "--kernel", "exact"],
+             ["sweep", "--points", "2", "--format", "csv"],
              ["sweep", "--points", "2", "--kernel", "exact"],
              ["reproduce", "--table", "1", "--kernel", "exact"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -641,5 +681,5 @@ def test_rate_paths_leave_scipy_unloaded():
     res = _run_python("-c", _STARTUP_PROBE)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
-    assert out["codes"] == [0, 0, 0, 1]  # table 1 follows the log kernel
+    assert out["codes"] == [0, 0, 0, 0, 1]  # table 1 follows the log kernel
     assert out["seen"] == {"import necoh": [], "import necoh.cli": [], "commands": []}

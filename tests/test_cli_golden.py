@@ -37,6 +37,7 @@ from necoh.constants import (BOLTZMANN, ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, 
                              SPEED_OF_LIGHT)
 from necoh.displacement import KernelMode
 from necoh.surface import BoundState
+from test_cli import strict_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CAVITY = "g=5MHz,kappa=0.5MHz,detuning=-500MHz"
@@ -125,7 +126,9 @@ def oracle_rates(f0_ghz: float, temperature_mk: float, exact: bool) -> dict[str,
     c = NEON.sound_speed
     alpha = w0 / c * state.bohr_radius
     beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
-    stim = 1.0 + 1.0 / math.expm1(HBAR * w0 / (BOLTZMANN * 1e-3 * temperature_mk))
+    kt = BOLTZMANN * 1e-3 * temperature_mk
+    # 1 + n = 1 / (1 - e^(-x)): no overflow at large x = hbar w0 / kT, 1 at T = 0
+    stim = -1.0 / math.expm1(-HBAR * w0 / kt) if kt > 0.0 else 1.0
     disp = (state.rydberg ** 2 * state.bohr_radius ** 2 * w0 ** 6
             / (8.0 * math.pi * ELECTRON_MASS * NEON.density * c ** 9))
     mod = 8.0 * state.rydberg ** 2 * w0 ** 4 / (math.pi * ELECTRON_MASS * NEON.density * c ** 7)
@@ -137,11 +140,21 @@ def oracle_rates(f0_ghz: float, temperature_mk: float, exact: bool) -> dict[str,
     }
 
 
-@pytest.mark.parametrize("kernel", ["approx", "exact"])
-@pytest.mark.parametrize("f0", ["1", "6.4", "10"])
-def test_rates_json_matches_independent_routes(f0, kernel, capsys):
-    assert main(["rates", "--f0-ghz", f0, "--kernel", kernel, "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out)
+# f0 and kernel of each run, then its --temperature-mk where not the default;
+# the exact kernel alone runs past the log kernel's 92.6 GHz
+_ROUTE_RUNS = [(f0, kernel) for f0 in ("1e-4", "1", "6.4", "10", "90")
+               for kernel in ("approx", "exact")]
+_ROUTE_RUNS += [("200", "exact"), ("6.4", "approx", "300"), ("6.4", "approx", "0")]
+
+
+@pytest.mark.parametrize("run", _ROUTE_RUNS, ids="-".join)
+def test_rates_json_matches_independent_routes(run, capsys):
+    f0, kernel, *temperature = run
+    argv = ["rates", "--f0-ghz", f0, "--kernel", kernel, "--format", "json"]
+    if temperature:
+        argv += ["--temperature-mk", *temperature]
+    assert main(argv) == 0
+    got = strict_json(capsys.readouterr().out)
     want = oracle_rates(float(f0), got["temperature_mk"], kernel == "exact")
     assert [ch["name"] for ch in got["channels"]] == list(want)
     for ch in got["channels"]:

@@ -8,7 +8,6 @@ unreduced K1 kernel F, which only the QAWF oracle computes.
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -107,10 +106,9 @@ def test_rate_refuses_f0_at_the_vertical_spacing(state, scale, shown):
 
 def test_rate_at_tiny_f0_raises_no_floating_point_warning():
     # at 1e-150 GHz the envelope's tail abscissae reach ~1e160, where
-    # (s + x)^2 overflows; the rate itself underflows to 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert gamma_modulation(LateralTrap.isotropic_ghz(1e-150)) == (0.0, 0.0)
+    # (s + x)^2 overflows; the rate itself underflows to 0. A warning fails
+    # the test (pyproject.toml)
+    assert gamma_modulation(LateralTrap.isotropic_ghz(1e-150)) == (0.0, 0.0)
 
 
 def test_substrate_suppression_operating_point():

@@ -1,6 +1,5 @@
 import math
 import re
-import warnings
 
 import pytest
 
@@ -91,6 +90,5 @@ def test_purcell_warns_outside_dispersive_regime():
 
 
 def test_purcell_quiet_inside_dispersive_regime():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gamma_purcell(CavityParams.from_mhz(5.0, 0.5, 500.0))
+    # a warning fails the test (pyproject.toml)
+    gamma_purcell(CavityParams.from_mhz(5.0, 0.5, 500.0))
