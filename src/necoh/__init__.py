@@ -15,8 +15,8 @@ from .modulation import (SubstrateDiagnostics, d_integral, gamma_modulation,
 from .numerics import ConvergenceError, QuadratureSpec, integrate_adaptive
 from .photon import (CavityParams, DispersiveLimitWarning, gamma_purcell,
                      gamma_vacuum)
-from .report import (ChannelRate, CoherenceReport, build_report,
-                     gamma_phi_one_phonon, sweep, thermal_occupation)
+from .report import (ChannelRate, CoherenceReport, build_report, sweep,
+                     thermal_occupation)
 from .surface import BoundState, LateralTrap
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "d_integral",
     "gamma_displacement",
     "gamma_modulation",
-    "gamma_phi_one_phonon",
     "gamma_purcell",
     "gamma_vacuum",
     "integrate_adaptive",

@@ -60,6 +60,8 @@ GK15_GAUSS_WEIGHTS = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 class QuadratureSpec:
     """Accuracy target of an integration: one relative tolerance.
 
+    ``integrate_adaptive`` applies it to the integral of |f|, not of f.
+
     Parameters
     ----------
     rel_tol : float
@@ -101,8 +103,8 @@ class ConvergenceError(Exception):
 
 
 def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
-                ) -> tuple[float, float]:
-    """Kronrod value and error estimate of one GK15 panel."""
+                ) -> tuple[float, float, float]:
+    """Kronrod value, error estimate and integral of |f| of one GK15 panel."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * GK15_NODES
     y = np.asarray(f(x), dtype=float)
@@ -120,7 +122,7 @@ def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
         err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
     else:
         err = raw
-    return kron, max(err, 50.0 * _EPS * resabs)
+    return kron, max(err, 50.0 * _EPS * resabs), resabs
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -128,7 +130,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi].
 
     The worst panel (largest error estimate) is bisected until the summed
-    error meets ``spec``, at most ``_MAX_BISECTIONS`` times. Of panels with
+    error meets ``spec`` relative to the integral of |f|, which is |value|
+    where f keeps one sign and stays finite where the value cancels to zero,
+    at most ``_MAX_BISECTIONS`` times. Of panels with
     equal error estimates the oldest is bisected first, so a run of ties
     refines breadth-first, left to right. Returns ``(value, error_estimate)``.
     """
@@ -138,26 +142,28 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     if lo > hi:
         lo, hi = hi, lo
         sign = -1.0
-    val, err = _eval_panel(f, lo, hi)
-    total_val, total_err = val, err
-    # (err, lo, hi, val) in the order made; max() returns the first maximum
-    panels = [(err, lo, hi, val)]
+    val, err, mag = _eval_panel(f, lo, hi)
+    total_val, total_err, total_abs = val, err, mag
+    # (err, lo, hi, val, mag), mag the panel's integral of |f|, in the order
+    # made; max() returns the first maximum
+    panels = [(err, lo, hi, val, mag)]
     for _ in range(_MAX_BISECTIONS):
-        if total_err <= spec.tolerance(total_val):
+        if total_err <= spec.tolerance(total_abs):
             break
-        perr, plo, phi, pval = worst = max(panels, key=itemgetter(0))
+        perr, plo, phi, pval, pmag = worst = max(panels, key=itemgetter(0))
         panels.remove(worst)
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
             # interval at floating point resolution, keep its estimate
-            panels.append((0.0, plo, phi, pval))
+            panels.append((0.0, plo, phi, pval, pmag))
             continue
-        lval, lerr = _eval_panel(f, plo, mid)
-        rval, rerr = _eval_panel(f, mid, phi)
+        lval, lerr, lmag = _eval_panel(f, plo, mid)
+        rval, rerr, rmag = _eval_panel(f, mid, phi)
         total_val += lval + rval - pval
         total_err += lerr + rerr - perr
-        panels += [(lerr, plo, mid, lval), (rerr, mid, phi, rval)]
-    if total_err > spec.tolerance(total_val):
+        total_abs += lmag + rmag - pmag
+        panels += [(lerr, plo, mid, lval, lmag), (rerr, mid, phi, rval, rmag)]
+    if total_err > spec.tolerance(total_abs):
         raise ConvergenceError(
             f"adaptive quadrature did not reach tolerance on [{lo}, {hi}]: "
             f"error {total_err:.3e} on value {total_val:.6e}",

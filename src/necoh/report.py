@@ -61,23 +61,6 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     return n
 
 
-def gamma_phi_one_phonon(trap: LateralTrap, temperature_k: float = 0.0) -> float:
-    """One-phonon pure-dephasing rate: exactly zero.
-
-    For the harmonic trap with oscillator lengths a_x, a_y and phonon
-    in-plane momentum q = (q_x, q_y), the relaxation form factor
-    |<0_x 0_y| e^(iq.r) |1_x 0_y>|^2 is (1/2)(q_x a_x)^2 e^(-q^2 a^2 / 2)
-    and the dephasing form factor |<1|e^(iq.r)|1> - <0|e^(iq.r)|0>|^2 is
-    (1/4)(q_x a_x)^4 e^(-q^2 a^2 / 2), with q^2 a^2 = q_x^2 a_x^2 +
-    q_y^2 a_y^2. An elastic one-phonon process must conserve energy, which
-    pins the phonon at q -> 0, where the quartic factor vanishes; so the
-    golden-rule rate is identically zero at any temperature.
-    """
-    if temperature_k < 0.0:
-        raise ValueError("temperature must be >= 0")
-    return 0.0
-
-
 @dataclass(frozen=True)
 class ChannelRate:
     """One decay channel: rate gamma (s^-1), T1 = 1/gamma, T2 = 2*T1 (s).
@@ -119,8 +102,10 @@ class CoherenceReport:
     emission lifetime 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)),
     which adds the absorption rate gamma n (36% apart at 300 mK and 6.4 GHz,
     5e-14 at 10 mK). Photon channels pass through at zero occupation, where
-    their closed forms hold exactly. ValueError refuses a temperature that is
-    not finite and >= 0 and rates whose total overflows.
+    their closed forms hold exactly. A temperature of -0.0 is stored as 0.0
+    however the report is made, so no output prints a negative zero.
+    ValueError refuses a temperature that is not finite and >= 0 and rates
+    whose total overflows.
     """
 
     f0_ghz: float
@@ -128,6 +113,7 @@ class CoherenceReport:
     bare: tuple[ChannelRate, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "temperature_mk", self.temperature_mk + 0.0)
         if not math.isfinite(sum(ch.gamma for ch in self.channels)):
             raise ValueError(f"total rate is not finite at f0 = {self.f0_ghz:g} GHz")
 
@@ -143,8 +129,18 @@ class CoherenceReport:
 
     @property
     def gamma_phi(self) -> float:
-        return gamma_phi_one_phonon(LateralTrap.isotropic_ghz(self.f0_ghz),
-                                    temperature_k=mk_to_kelvin(self.temperature_mk))
+        """One-phonon pure-dephasing rate: exactly zero.
+
+        For the harmonic trap with oscillator lengths a_x, a_y and phonon
+        in-plane momentum q = (q_x, q_y), the relaxation form factor
+        |<0_x 0_y| e^(iq.r) |1_x 0_y>|^2 is (1/2)(q_x a_x)^2 e^(-q^2 a^2 / 2)
+        and the dephasing form factor |<1|e^(iq.r)|1> - <0|e^(iq.r)|0>|^2 is
+        (1/4)(q_x a_x)^4 e^(-q^2 a^2 / 2), with q^2 a^2 = q_x^2 a_x^2 +
+        q_y^2 a_y^2. An elastic one-phonon process must conserve energy, which
+        pins the phonon at q -> 0, where the quartic factor vanishes; so the
+        golden-rule rate is identically zero at any temperature.
+        """
+        return 0.0
 
     @property
     def substrates(self) -> tuple[SubstrateDiagnostics, ...]:
@@ -190,8 +186,7 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     bare += [positive(name, *rate(trap, kernel, spec)) for name, rate in PHONON_RATES.items()]
     if cavity is not None:
         bare.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
-    # + 0.0 turns -0.0 into 0.0, so no output prints a negative zero temperature
-    return CoherenceReport(f0_ghz, temperature_mk + 0.0, tuple(bare))
+    return CoherenceReport(f0_ghz, temperature_mk, tuple(bare))
 
 
 def sweep(f0_ghz_values, temperature_mk: float = 10.0,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import necoh
 from necoh import displacement, modulation
@@ -78,6 +78,9 @@ def test_embedded_gauss_rule_exact_through_degree_13():
     lo=st.floats(-10.0, 10.0, allow_nan=False),
     width=st.floats(0.1, 5.0, allow_nan=False),
 )
+# the integral of 1 - 2x over [0, 1] is zero, which no relative tolerance on
+# the value can meet
+@example(coeffs=[1.0, -2.0], lo=0.0, width=1.0)
 def test_adaptive_matches_polynomial_antiderivative(coeffs, lo, width):
     hi = lo + width
     c = np.asarray(coeffs)
@@ -93,6 +96,17 @@ def test_adaptive_matches_polynomial_antiderivative(coeffs, lo, width):
     scale = float(np.sum(np.abs(anti) * m ** np.arange(anti.size))) + 1.0
     assert abs(got - want) <= 1e-9 * scale
     assert err >= 0.0
+
+
+@pytest.mark.parametrize("f, hi, abs_integral", [
+    (lambda x: 1.0 - 2.0 * x, 1.0, 0.5),
+    (np.sin, 2.0 * math.pi, 4.0),
+], ids=["linear", "sine"])
+def test_adaptive_converges_where_the_integral_cancels(f, hi, abs_integral):
+    # the true value is 0, so |value| is the true error; the spec applies to
+    # the integral of |f|
+    got, err = integrate_adaptive(f, 0.0, hi, DEFAULT_SPEC)
+    assert abs(got) <= err <= DEFAULT_SPEC.rel_tol * abs_integral
 
 
 def test_adaptive_handles_log_squared_endpoint():

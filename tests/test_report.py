@@ -15,7 +15,6 @@ from necoh.report import (
     ChannelRate,
     CoherenceReport,
     build_report,
-    gamma_phi_one_phonon,
     sweep,
     thermal_occupation,
 )
@@ -86,11 +85,9 @@ def test_thermal_occupation_refuses_a_non_finite_occupation(omega):
         thermal_occupation(omega, 0.01)
 
 
-def test_dephasing_rate_is_exactly_zero():
-    for f0 in (1.0, 6.4, 10.0):
-        trap = LateralTrap.isotropic_ghz(f0)
-        assert gamma_phi_one_phonon(trap) == 0.0
-        assert gamma_phi_one_phonon(trap, temperature_k=0.3) == 0.0
+def test_dephasing_rate_is_exactly_zero(report):
+    assert report.gamma_phi == 0.0
+    assert dataclasses.replace(report, temperature_mk=300.0).gamma_phi == 0.0
 
 
 def test_channel_rate_doubling_is_bitwise():
@@ -151,6 +148,17 @@ def test_a_temperature_change_needs_no_rate_call(monkeypatch):
     for fmt in ("table", "csv", "json"):
         assert render_rates(moved, fmt) == render_rates(hot, fmt)
         assert render_rates(moved, fmt) != render_rates(cold, fmt)
+
+
+def test_report_stores_a_negative_zero_temperature_as_zero(monkeypatch):
+    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (24.7, 0.0))
+    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (444.0, 0.0))
+    built = CoherenceReport(6.4, -0.0, (ChannelRate("vacuum", 0.01),))
+    moved = dataclasses.replace(build_report(2.0), temperature_mk=-0.0)
+    for rep in (built, moved):
+        assert math.copysign(1.0, rep.temperature_mk) == 1.0
+    assert "f0 = 2 GHz, T = 0 mK" in render_rates(moved, "table")
+    assert '"temperature_mk": 0.0' in render_rates(moved, "json")
 
 
 @pytest.mark.parametrize("t_mk", [-4.0, math.nan])
