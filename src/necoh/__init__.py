@@ -15,13 +15,14 @@ from .modulation import (SubstrateDiagnostics, d_integral, gamma_modulation,
 from .numerics import ConvergenceError, QuadratureSpec, integrate_adaptive
 from .photon import (CavityParams, DispersiveLimitWarning, gamma_purcell,
                      gamma_vacuum)
-from .report import (ChannelRate, CoherenceReport, build_report, sweep,
+from .report import (BareRates, ChannelRate, CoherenceReport, build_report, sweep,
                      thermal_occupation)
 from .surface import BoundState, LateralTrap
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BareRates",
     "BoundState",
     "CavityParams",
     "ChannelRate",

@@ -363,7 +363,7 @@ def render_rates(rep: CoherenceReport, fmt: str) -> str:
 
 def _report_options(cfg: RunConfig) -> dict:
     """build_report keyword arguments of a run; parses --cavity."""
-    cavity = parse_cavity(cfg.cavity) if cfg.cavity else None
+    cavity = parse_cavity(cfg.cavity) if cfg.cavity is not None else None
     return {"temperature_mk": cfg.temperature_mk, "cavity": cavity,
             "kernel": KernelMode(cfg.kernel), "spec": CLI_SPEC}
 
@@ -376,7 +376,9 @@ def cmd_rates(cfg: RunConfig, out=None) -> int:
 
 def cmd_sweep(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if cfg.output:
+    if cfg.output is not None:
+        if not cfg.output:
+            raise UsageError("output must name a file: got ''")
         # os.path.join drops the base directory when --output is absolute
         base = os.environ.get(ENV_OUTPUT_DIR) or "."
         path = os.path.join(base, cfg.output)
@@ -400,7 +402,7 @@ def cmd_sweep(cfg: RunConfig, out=None) -> int:
         # numpy refuses a grid beyond memory or its index range before allocating
         raise UsageError(f"points must fit in memory: got {cfg.points}") from exc
     text = render_sweep(sweep(grid, **_report_options(cfg)), cfg.format)
-    if cfg.output:
+    if cfg.output is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         out.write(f"wrote {path}\n")

@@ -43,9 +43,9 @@ def thermal_occupation(omega: float, temperature_k: float) -> float:
     instead, the occupation is not finite and ValueError names omega and T.
     """
     if not 0.0 <= temperature_k < math.inf:
-        raise ValueError("temperature must be finite and >= 0")
+        raise ValueError(f"temperature must be finite and >= 0: got {temperature_k:.6g} K")
     if not 0.0 < omega < math.inf:
-        raise ValueError("omega must be positive and finite")
+        raise ValueError(f"omega must be positive and finite: got {omega:.6g} rad/s")
     kt = BOLTZMANN * temperature_k
     if kt == 0.0:
         return 0.0
@@ -77,7 +77,7 @@ class ChannelRate:
         if not math.isfinite(self.gamma):
             raise ValueError(f"non-finite rate for channel {self.name}: {self.gamma!r}")
         if self.gamma < 0.0:
-            raise ValueError(f"negative rate for channel {self.name}")
+            raise ValueError(f"negative rate for channel {self.name}: got {self.gamma!r}")
         if not 0.0 <= self.error_estimate < math.inf:
             raise ValueError(f"error estimate for channel {self.name} must be finite "
                              f"and >= 0: got {self.error_estimate!r}")
@@ -92,30 +92,42 @@ class ChannelRate:
 
 
 @dataclass(frozen=True)
-class CoherenceReport:
-    """One operating point and every channel's bare (T = 0) rate, in report order.
+class BareRates:
+    """A trap frequency (GHz) and every channel's zero-occupation rate there, in report order."""
 
-    The rest is derived: ``replace(rep, temperature_mk=t)`` moves a report to
-    another T with no rate call (another f0 needs new bare rates). ``channels``
-    multiplies each phonon rate (``PHONON_RATES``) and its error by 1 + n, n
-    the thermal ``occupation`` at the qubit frequency: a phonon T1 is the
-    emission lifetime 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)),
-    which adds the absorption rate gamma n (36% apart at 300 mK and 6.4 GHz,
-    5e-14 at 10 mK). Photon channels pass through at zero occupation, where
+    f0_ghz: float
+    channels: tuple[ChannelRate, ...]
+
+
+@dataclass(frozen=True)
+class CoherenceReport:
+    """One temperature and the bare (T = 0) rates of one trap frequency.
+
+    The rest is derived, ``f0_ghz`` from ``bare``, so ``replace(rep,
+    temperature_mk=t)`` moves a report to another T with no rate call, and no
+    report can pair its rates with another f0. ``channels`` multiplies each
+    phonon rate (``PHONON_RATES``) and its error by 1 + n, n the thermal
+    ``occupation`` at the qubit frequency: a phonon T1 is the emission
+    lifetime 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)), which
+    adds the absorption rate gamma n (36% apart at 300 mK and 6.4 GHz, 5e-14
+    at 10 mK). Photon channels pass through at zero occupation, where
     their closed forms hold exactly. A temperature of -0.0 is stored as 0.0
     however the report is made, so no output prints a negative zero.
     ValueError refuses a temperature that is not finite and >= 0 and rates
     whose total overflows.
     """
 
-    f0_ghz: float
+    bare: BareRates
     temperature_mk: float
-    bare: tuple[ChannelRate, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "temperature_mk", self.temperature_mk + 0.0)
         if not math.isfinite(sum(ch.gamma for ch in self.channels)):
             raise ValueError(f"total rate is not finite at f0 = {self.f0_ghz:g} GHz")
+
+    @property
+    def f0_ghz(self) -> float:
+        return self.bare.f0_ghz
 
     @property
     def occupation(self) -> float:
@@ -125,7 +137,7 @@ class CoherenceReport:
     def channels(self) -> tuple[ChannelRate, ...]:
         stim = 1.0 + self.occupation
         return tuple(ChannelRate(ch.name, stim * ch.gamma, stim * ch.error_estimate)
-                     if ch.name in PHONON_RATES else ch for ch in self.bare)
+                     if ch.name in PHONON_RATES else ch for ch in self.bare.channels)
 
     @property
     def gamma_phi(self) -> float:
@@ -186,7 +198,7 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     bare += [positive(name, *rate(trap, kernel, spec)) for name, rate in PHONON_RATES.items()]
     if cavity is not None:
         bare.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
-    return CoherenceReport(f0_ghz, temperature_mk, tuple(bare))
+    return CoherenceReport(BareRates(f0_ghz, tuple(bare)), temperature_mk)
 
 
 def sweep(f0_ghz_values, temperature_mk: float = 10.0,

@@ -112,6 +112,35 @@ def displacement_integral(alpha: float, beta: float, exact: bool) -> float:
     return scipy.integrate.quad(f, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)[0]
 
 
+def displacement_series(alpha: float, beta: float) -> float:
+    """The log-kernel ``displacement_integral`` as a series, with no quadrature.
+
+    With e^(-beta u) = e^(-beta) e^(beta g^2), ln(eta) = L + ln(u)/2,
+    L = ln(alpha), and int_0^1 g^(2k+2) u^3 ln(u)^j dg = (1/2) d^j/dn^j
+    B(k + 3/2, n + 1) at n = 3:
+
+        sum_k e^(-beta) beta^k / k! (1/2) B(k + 3/2, 4) [L^2 + L d1 + (d1^2 + d2)/4],
+
+    d1 = psi(4) - psi(k + 11/2), d2 = psi'(4) - psi'(k + 11/2). Each term is
+    the weight times a mean of (L + ln(u)/2)^2, so all are positive and the
+    sum loses no digits; it stops past the Poisson peak k ~ beta once a term
+    no longer moves it.
+    """
+    big_l = math.log(alpha)
+    total, k = 0.0, 0
+    while True:
+        a = k + 5.5
+        d1 = scipy.special.digamma(4.0) - scipy.special.digamma(a)
+        d2 = scipy.special.polygamma(1, 4.0) - scipy.special.polygamma(1, a)
+        weight = math.exp(-beta + k * math.log(beta) - math.lgamma(k + 1.0)
+                          + scipy.special.betaln(k + 1.5, 4.0))
+        term = 0.5 * weight * (big_l * big_l + big_l * d1 + 0.25 * (d1 * d1 + d2))
+        total += term
+        if k > beta and term <= 1e-17 * total:
+            return total
+        k += 1
+
+
 def modulation_integral(alpha: float, beta: float) -> float:
     """int_0^1 dg u e^(-beta u) D(alpha sqrt(u))^2 with u = 1 - g^2.
 

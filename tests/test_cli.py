@@ -413,6 +413,31 @@ def test_main_refuses_an_output_file_it_cannot_open_before_computing(tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, key, err", [
+    ("rates", "cavity", "error: cavity spec missing detuning, g, kappa\n"),
+    ("sweep", "output", "error: output must name a file: got ''\n"),
+], ids=["cavity", "output"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_main_refuses_an_empty_cavity_or_output_before_computing(command, key, err, source,
+                                                                tmp_path, monkeypatch, capfd):
+    # an empty value is a value, not an absent option: it must not fall back
+    # to no cavity channel, or to stdout
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rate ran before the empty option was refused")
+
+    monkeypatch.setattr(report, "gamma_vacuum", unreachable)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
+    if source == "flag":
+        argv = [command, f"--{key}="]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} =\n", encoding="utf-8")
+        argv = [command, "--config", str(path)]
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", err)
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if source == "config" else [])
+
+
 def test_failed_sweep_leaves_its_output_path_as_it_was(tmp_path, monkeypatch, capfd):
     # the up-front check opens the file: it must neither truncate an existing
     # file nor leave a new one behind when the sweep then fails

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import (displacement_integral, log_kernel_ceiling_ghz, up_average_direct,
-                      vertical_ceiling_ghz)
+from _oracles import (displacement_integral, displacement_series, log_kernel_ceiling_ghz,
+                      up_average_direct, vertical_ceiling_ghz)
 from necoh.cli import CLI_SPEC
 from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
 from necoh.displacement import (
@@ -121,6 +121,18 @@ def test_rate_fixed_grid_cross_check():
 def _oracle_rate(f0_ghz: float, kernel: KernelMode) -> float:
     alpha, beta, pref = _rate_scales(f0_ghz)
     return pref * displacement_integral(alpha, beta, kernel is KernelMode.EXACT)
+
+
+@pytest.mark.parametrize("f0", np.geomspace(0.01, 90.0, 9))
+def test_log_kernel_rate_matches_its_series(f0):
+    """The positive-term series of the log-kernel integral, a route with no
+    quadrature, agrees with the quadrature oracle, and the library rate's
+    error bar bounds its distance from it and meets the default spec."""
+    alpha, beta, pref = _rate_scales(f0)
+    series = displacement_series(alpha, beta)
+    assert series == pytest.approx(displacement_integral(alpha, beta, False), rel=1e-13, abs=0.0)
+    got, err = gamma_displacement(LateralTrap.isotropic_ghz(f0), spec=DEFAULT_SPEC)
+    assert abs(got - pref * series) <= err <= DEFAULT_SPEC.tolerance(got)
 
 
 # both kernels up to 90 GHz, then the exact one just below the vertical spacing

@@ -12,6 +12,7 @@ from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
 from necoh.photon import CavityParams, gamma_vacuum
 from necoh.report import (
+    BareRates,
     ChannelRate,
     CoherenceReport,
     build_report,
@@ -58,9 +59,9 @@ def test_thermal_occupation_past_the_exponent_range():
 
 
 def test_thermal_occupation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^temperature must be finite and >= 0: got -0\.1 K$"):
         thermal_occupation(4e10, -0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^omega must be positive and finite: got 0 rad/s$"):
         thermal_occupation(0.0, 0.01)
 
 
@@ -123,10 +124,18 @@ def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
 
 
 def test_report_takes_no_derived_rows():
-    # occupation, channels, gamma_phi and substrates follow from these three,
-    # so no report can carry rows that contradict its temperature
-    assert [f.name for f in dataclasses.fields(CoherenceReport)] == [
-        "f0_ghz", "temperature_mk", "bare"]
+    # f0, occupation, channels, gamma_phi and substrates follow from these,
+    # so no report can carry rows that contradict its temperature or its rates
+    assert [f.name for f in dataclasses.fields(BareRates)] == ["f0_ghz", "channels"]
+    assert [f.name for f in dataclasses.fields(CoherenceReport)] == ["bare", "temperature_mk"]
+
+
+def test_a_report_cannot_move_to_another_f0():
+    # its bare rates hold at their own f0 only; another f0 needs build_report
+    rep = CoherenceReport(BareRates(6.4, (ChannelRate("vacuum", 0.01),)), 10.0)
+    assert rep.f0_ghz == 6.4
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, f0_ghz=10.0)
 
 
 def test_a_temperature_change_needs_no_rate_call(monkeypatch):
@@ -143,17 +152,19 @@ def test_a_temperature_change_needs_no_rate_call(monkeypatch):
     cold = build_report(6.4, 10.0)
     assert len(calls) == 2
     moved = dataclasses.replace(cold, temperature_mk=300.0)
+    rebuilt = CoherenceReport(cold.bare, 300.0)
     assert len(calls) == 2
     hot = build_report(6.4, 300.0)
     for fmt in ("table", "csv", "json"):
-        assert render_rates(moved, fmt) == render_rates(hot, fmt)
+        for rep in (moved, rebuilt):
+            assert render_rates(rep, fmt) == render_rates(hot, fmt)
         assert render_rates(moved, fmt) != render_rates(cold, fmt)
 
 
 def test_report_stores_a_negative_zero_temperature_as_zero(monkeypatch):
     monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (24.7, 0.0))
     monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (444.0, 0.0))
-    built = CoherenceReport(6.4, -0.0, (ChannelRate("vacuum", 0.01),))
+    built = CoherenceReport(BareRates(6.4, (ChannelRate("vacuum", 0.01),)), -0.0)
     moved = dataclasses.replace(build_report(2.0), temperature_mk=-0.0)
     for rep in (built, moved):
         assert math.copysign(1.0, rep.temperature_mk) == 1.0
@@ -161,22 +172,22 @@ def test_report_stores_a_negative_zero_temperature_as_zero(monkeypatch):
     assert '"temperature_mk": 0.0' in render_rates(moved, "json")
 
 
-@pytest.mark.parametrize("t_mk", [-4.0, math.nan])
-def test_report_refuses_a_temperature_built_directly(t_mk):
-    with pytest.raises(ValueError, match="^temperature must be finite and >= 0$"):
-        CoherenceReport(6.4, t_mk, (ChannelRate("vacuum", 0.01),))
+@pytest.mark.parametrize("t_mk, got", [(-4.0, "-0.004"), (math.nan, "nan")], ids=["-4.0", "nan"])
+def test_report_refuses_a_temperature_built_directly(t_mk, got):
+    with pytest.raises(ValueError, match=f"^temperature must be finite and >= 0: got {got} K$"):
+        CoherenceReport(BareRates(6.4, (ChannelRate("vacuum", 0.01),)), t_mk)
 
 
 def test_report_refuses_bare_rates_whose_thermal_total_overflows():
     # each stimulated rate stays finite (n ~ 325 at 100 K and 6.4 GHz), their sum does not
-    bare = (ChannelRate("displacement", 4e305), ChannelRate("modulation", 4e305))
-    assert CoherenceReport(6.4, 0.0, bare).total.gamma == 8e305
+    bare = BareRates(6.4, (ChannelRate("displacement", 4e305), ChannelRate("modulation", 4e305)))
+    assert CoherenceReport(bare, 0.0).total.gamma == 8e305
     with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
-        CoherenceReport(6.4, 1e5, bare)
+        CoherenceReport(bare, 1e5)
 
 
 def test_channel_rate_rejects_negative():
-    with pytest.raises(ValueError, match="^negative rate for channel x$"):
+    with pytest.raises(ValueError, match=r"^negative rate for channel x: got -1\.0$"):
         ChannelRate("x", -1.0)
 
 
