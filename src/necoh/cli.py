@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,15 +42,9 @@ ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
 # are percent-level; 1e-7 keeps the sweep comfortably inside its time budget
 CLI_SPEC = QuadratureSpec(rel_tol=1e-7)
 
-_FORMATS = ("table", "csv", "json")
-_KERNELS = tuple(m.value for m in KernelMode)
-
 # reference table number -> the phonon channel it lists and its rows
 _REFERENCE_TABLES = {1: (CHANNEL_DISPLACEMENT, DISPLACEMENT_TABLE),
                      2: (CHANNEL_MODULATION, MODULATION_TABLE)}
-# flags of the RunConfig fields that must hold finite numbers
-_FINITE_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk",
-                 "from_ghz": "from", "to_ghz": "to", "tol": "tol"}
 
 
 class ConfigError(Exception):
@@ -63,36 +57,56 @@ class UsageError(Exception):
     pass
 
 
+def _option(default, flag: str, help: str, commands: tuple[str, ...], choices=None):
+    """A RunConfig field read as ``--<flag>`` by ``commands``: its default, help
+    text and, if the field takes a fixed set of values, its choices."""
+    return field(default=default, metadata={"flag": flag, "help": help, "commands": commands,
+                                            "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    f0_ghz: float = 6.4
-    format: str = "table"
-    kernel: str = "approx"
-    temperature_mk: float = 10.0
-    cavity: str | None = None
-    from_ghz: float = 1.0
-    to_ghz: float = 10.0
-    points: int = 10
-    tol: float = 0.03
-    table: int = 1
-    output: str | None = None
+    """Every option of every command, with its default. The declaration
+    order is the order of the checks in ``validate``."""
+
+    f0_ghz: float = _option(6.4, "f0-ghz", "trap frequency in GHz (default 6.4)", ("rates",))
+    kernel: str = _option("approx", "kernel", "vertical kernel of the displacement channel "
+                          "(default approx); the modulation channel (table 2) has none",
+                          ("rates", "sweep", "reproduce"), tuple(m.value for m in KernelMode))
+    format: str = _option("table", "format", "output format (default table)", ("rates", "sweep"),
+                          ("table", "csv", "json"))
+    temperature_mk: float = _option(10.0, "temperature-mk", "bath temperature in mK (default 10)",
+                                    ("rates", "sweep"))
+    cavity: str | None = _option(None, "cavity",
+                                 "cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz",
+                                 ("rates", "sweep"))
+    from_ghz: float = _option(1.0, "from", "grid start in GHz (default 1)", ("sweep",))
+    to_ghz: float = _option(10.0, "to", "grid end in GHz (default 10)", ("sweep",))
+    points: int = _option(10, "points", "number of grid points (default 10)", ("sweep",))
+    output: str | None = _option(None, "output", "write to this file instead of stdout (relative "
+                                 f"paths resolve under ${ENV_OUTPUT_DIR} if set)", ("sweep",))
+    table: int = _option(1, "table", "1 = displacement lifetimes, 2 = modulation lifetimes",
+                         ("reproduce",), tuple(_REFERENCE_TABLES))
+    tol: float = _option(0.03, "tol", "per-row relative tolerance (default 0.03)", ("reproduce",))
 
     def validate(self, command: str) -> None:
-        """Refuse a non-finite number in any field, and an out-of-domain value
-        in a field that ``command`` reads (``--cavity`` is parsed where used)."""
-        for key, flag in _FINITE_FLAGS.items():
-            if not math.isfinite(getattr(self, key)):
-                raise UsageError(f"{flag} must be finite: got {getattr(self, key)!r}")
-        if self.kernel not in _KERNELS:
-            raise UsageError(f"kernel must be one of {', '.join(_KERNELS)}: got {self.kernel!r}")
+        """Refuse a non-finite number in any float field, then a value outside
+        its choices or its domain in a field that ``command`` reads
+        (``--cavity`` is parsed where used)."""
+        options = fields(self)
+        for f in options:
+            value = getattr(self, f.name)
+            if _CONFIG_SCHEMA[f.name] is float and not math.isfinite(value):
+                raise UsageError(f"{f.metadata['flag']} must be finite: got {value!r}")
+        for f in options:
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if choices and command in f.metadata["commands"] and value not in choices:
+                raise UsageError(f"{f.metadata['flag']} must be one of "
+                                 f"{', '.join(map(str, choices))}: got {value!r}")
         if command == "reproduce":
             if not 0.0 < self.tol < 1.0:
                 raise UsageError("tol must be in (0, 1)")
-            if self.table not in _REFERENCE_TABLES:
-                raise UsageError("table must be 1 or 2")
             return
-        if self.format not in _FORMATS:
-            raise UsageError(f"format must be one of {', '.join(_FORMATS)}: got {self.format!r}")
         if self.temperature_mk < 0.0:
             raise UsageError("temperature-mk must be >= 0")
         if command == "rates":
@@ -109,12 +123,13 @@ class RunConfig:
             # a one-point sweep runs at --from only
             frequencies = ["from_ghz"] + (["to_ghz"] if self.points > 1 else [])
         # the rates' own gate on the trap they get: refuse exactly what they refuse
-        for key in frequencies:
-            try:
-                kernel_kinematics(LateralTrap.isotropic_ghz(getattr(self, key)),
-                                  KernelMode(self.kernel))
-            except ValueError as exc:
-                raise UsageError(f"{_FINITE_FLAGS[key]}: {exc}") from exc
+        for f in options:
+            if f.name in frequencies:
+                try:
+                    kernel_kinematics(LateralTrap.isotropic_ghz(getattr(self, f.name)),
+                                      KernelMode(self.kernel))
+                except ValueError as exc:
+                    raise UsageError(f"{f.metadata['flag']}: {exc}") from exc
 
 
 # config keys with their parsers, one per RunConfig field; the annotations are
@@ -201,37 +216,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relaxation and coherence times of an electron's lateral "
                     "motional states on solid neon.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # every command reads --config and --kernel; rates and sweep the rest
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--kernel", choices=_KERNELS,
-                        help="vertical kernel of the displacement channel (default "
-                             "approx); the modulation channel (table 2) has none")
-    channels = argparse.ArgumentParser(add_help=False, parents=[common])
-    channels.add_argument("--format", choices=_FORMATS, help="output format (default table)")
-    channels.add_argument("--temperature-mk", type=float,
-                          help="bath temperature in mK (default 10)")
-    channels.add_argument("--cavity",
-                          help="cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz")
-
-    p_rates = sub.add_parser("rates", parents=[channels], help="all channels at one frequency")
-    p_rates.add_argument("--f0-ghz", type=float, help="trap frequency in GHz (default 6.4)")
-
-    p_sweep = sub.add_parser("sweep", parents=[channels], help="channels over a frequency grid")
-    p_sweep.add_argument("--from", dest="from_ghz", type=float,
-                         help="grid start in GHz (default 1)")
-    p_sweep.add_argument("--to", dest="to_ghz", type=float, help="grid end in GHz (default 10)")
-    p_sweep.add_argument("--points", type=int, help="number of grid points (default 10)")
-    p_sweep.add_argument("--output",
-                         help="write to this file instead of stdout "
-                              f"(relative paths resolve under ${ENV_OUTPUT_DIR} if set)")
-
-    p_rep = sub.add_parser("reproduce", parents=[common],
-                           help="recompute a bundled reference table")
-    p_rep.add_argument("--table", type=int, choices=tuple(_REFERENCE_TABLES),
-                       help="1 = displacement lifetimes, 2 = modulation lifetimes")
-    p_rep.add_argument("--tol", type=float, help="per-row relative tolerance (default 0.03)")
-
+    # options that more commands read come first, as the help screens list them
+    options = sorted(fields(RunConfig), key=lambda f: -len(f.metadata["commands"]))
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key=value config file")
+        for f in options:
+            if command in f.metadata["commands"]:
+                p.add_argument(f"--{f.metadata['flag']}", dest=f.name, type=_CONFIG_SCHEMA[f.name],
+                               choices=f.metadata["choices"], help=f.metadata["help"])
     return parser
 
 
@@ -431,6 +424,11 @@ def cmd_reproduce(cfg: RunConfig, out=None) -> int:
     return 0 if failures == 0 else 1
 
 
+_COMMANDS = {"rates": (cmd_rates, "all channels at one frequency"),
+             "sweep": (cmd_sweep, "channels over a frequency grid"),
+             "reproduce": (cmd_reproduce, "recompute a bundled reference table")}
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -443,12 +441,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        commands = {"rates": cmd_rates, "sweep": cmd_sweep, "reproduce": cmd_reproduce}
+        run, _ = _COMMANDS[args.command]
         with warnings.catch_warnings():
             # shown once per call site and command, whatever the caller's filters
             warnings.simplefilter("default", DispersiveLimitWarning)
             warnings.showwarning = _show_warning
-            return commands[args.command](cfg)
+            return run(cfg)
     except ConfigError as exc:
         where = f"line {exc.line}: " if exc.line is not None else ""
         print(f"config: {where}{exc}", file=sys.stderr)

@@ -72,7 +72,8 @@ def gamma_purcell(cavity: CavityParams) -> float:
     """Purcell decay rate g^2 kappa / detuning^2 through the resonator, s^-1.
 
     Warns (does not fail) when g/|detuning| > 0.1, where the dispersive
-    expression stops being trustworthy.
+    expression stops being trustworthy. As (g/|detuning|)^2 kappa, the rate
+    overflows to inf or underflows to 0 where a float power would raise.
     """
     ratio = cavity.g / abs(cavity.detuning)
     if ratio > 0.1:
@@ -82,4 +83,4 @@ def gamma_purcell(cavity: CavityParams) -> float:
             DispersiveLimitWarning,
             stacklevel=2,
         )
-    return cavity.g ** 2 * cavity.kappa / cavity.detuning ** 2
+    return ratio * ratio * cavity.kappa

@@ -179,7 +179,7 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
 
     A bare rate below the smallest normal float raises ValueError naming the
     channel and f0 (a vacuum or phonon rate at tiny f0, e.g. 1e-52 GHz; a
-    cavity rate at g = 0, kappa = 0 or where g^2 kappa underflows), so no
+    cavity rate at g = 0, kappa = 0 or where (g/detuning)^2 kappa underflows), so no
     channel reports an infinite T1. ``LateralTrap`` and ``phonon_kinematics``
     refuse f0, ``thermal_occupation`` T before any rate runs, and
     ``CoherenceReport`` a total that overflows."""

@@ -153,6 +153,31 @@ def modulation_integral(alpha: float, beta: float) -> float:
     return scipy.integrate.quad(f, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-11)[0]
 
 
+def modulation_asymptote(alpha: float, beta: float) -> float:
+    """Small-alpha, small-beta law of ``modulation_integral``.
+
+    With D(b) -> (b/4)(ln(2/b) - 3/2) at b = alpha sqrt(u), u = 1 - g^2, and
+    e^(-beta u) -> 1 - beta u:
+
+        (alpha^2/16) [L^2 m0 - L m1 + m2/4] - beta (alpha^2/16) [L^2 m0' - L m1' + m2'/4],
+
+    L = ln(2/alpha) - 3/2, m_j = int_0^1 u^2 ln(u)^j dg and
+    m_j' = int_0^1 u^3 ln(u)^j dg by ``scipy.integrate.quad``
+    (m = 8/15, -0.096199, 0.051792; m' = 16/35, -0.060687, 0.024101).
+    """
+    def moments(power: int) -> list[float]:
+        return [scipy.integrate.quad(
+            lambda g: ((1.0 - g) * (1.0 + g)) ** power * math.log((1.0 - g) * (1.0 + g)) ** j,
+            0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-13)[0] for j in range(3)]
+
+    big_l = math.log(2.0 / alpha) - 1.5
+
+    def bracket(m: list[float]) -> float:
+        return big_l * big_l * m[0] - big_l * m[1] + 0.25 * m[2]
+
+    return alpha * alpha / 16.0 * (bracket(moments(2)) - beta * bracket(moments(3)))
+
+
 def h_closed(x: float) -> float:
     """int_0^inf sin(x t) / (1 + t)^2 dt through sine/cosine integrals."""
     siv, civ = scipy.special.sici(x)

@@ -2,8 +2,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -483,18 +485,42 @@ def test_config_keys_a_command_does_not_read_are_not_checked(argv, config, tmp_p
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command, config, flag", [
-    ("rates", "tol = nan\n", "tol"),
-    ("sweep", "tol = nan\n", "tol"),
-    ("reproduce", "f0_ghz = inf\n", "f0-ghz"),
-], ids=["rates", "sweep", "reproduce"])
-def test_config_refuses_a_non_finite_number_for_every_command(command, config, flag,
-                                                              tmp_path, capfd):
-    # even in a key the command does not read
+# every float option: its config key and the flag a refusal names
+_FLOAT_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk", "from_ghz": "from",
+                "to_ghz": "to", "tol": "tol"}
+
+
+@pytest.mark.parametrize("command", ["rates", "sweep", "reproduce"])
+def test_config_refuses_a_non_finite_number_for_every_command(command, tmp_path, capfd):
+    # in every float key, even one the command does not read, and before any
+    # choice check (format = xml is refused by rates and sweep)
+    assert _FLOAT_FLAGS.keys() == {f.name for f in fields(RunConfig) if f.type == "float"}
     path = tmp_path / "run.cfg"
-    path.write_text(config, encoding="utf-8")
-    assert main([command, "--config", str(path)]) == 2
-    assert capfd.readouterr().err.startswith(f"error: {flag} must be finite")
+    cases = [(f"{key} = {value}\n", flag, value)
+             for key, flag in _FLOAT_FLAGS.items() for value in ("nan", "inf", "-inf")]
+    cases.append(("f0_ghz = nan\nformat = xml\n", "f0-ghz", "nan"))
+    for config, flag, value in cases:
+        path.write_text(config, encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        assert capfd.readouterr() == ("", f"error: {flag} must be finite: got {value}\n")
+
+
+# the flags each command accepts, as its help screen lists them
+_COMMAND_FLAGS = {
+    "rates": ["--help", "--config", "--kernel", "--format", "--temperature-mk", "--cavity",
+              "--f0-ghz"],
+    "sweep": ["--help", "--config", "--kernel", "--format", "--temperature-mk", "--cavity",
+              "--from", "--to", "--points", "--output"],
+    "reproduce": ["--help", "--config", "--kernel", "--table", "--tol"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_a_command_accepts(command, capfd):
+    assert main([command, "--help"]) == 0
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == set(_COMMAND_FLAGS[command])
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -516,7 +542,7 @@ def test_reproduce_refuses_the_channel_options_it_does_not_read(flag, value, mon
      "error: cavity g must be positive: got 0 (omit --cavity instead)\n"),
     ("g=5,kappa=0,detuning=500", 2,
      "error: cavity kappa must be positive: got 0 (omit --cavity instead)\n"),
-    ("g=1e-170,kappa=0.5,detuning=500", 1,  # g^2 underflows
+    ("g=1e-170,kappa=0.5,detuning=500", 1,  # (g/detuning)^2 underflows
      "error: cavity rate underflows at f0 = {f0} GHz\n"),
 ], ids=["no-coupling", "no-loss", "underflow"])
 def test_main_refuses_a_cavity_whose_rate_is_zero(argv, f0, cavity, code, err, monkeypatch,
@@ -528,6 +554,31 @@ def test_main_refuses_a_cavity_whose_rate_is_zero(argv, f0, cavity, code, err, m
         out, got = capfd.readouterr()
         assert "inf" not in out.lower()
         assert (out, got) == ("", err.format(f0=f0))
+
+
+@pytest.mark.parametrize("cavity, code, err, gamma", [
+    # g/|detuning| is inf: past the dispersive limit, and the rate is inf
+    ("g=5,kappa=0.5,detuning=1e-320", 1,
+     "warning: g/|detuning| = inf exceeds 0.1; dispersive Purcell formula is outside its "
+     "validity range\nerror: non-finite rate for channel cavity: inf\n", None),
+    # (g/|detuning|)^2 underflows
+    ("g=1e-300GHz,kappa=1,detuning=1e300", 1,
+     "error: cavity rate underflows at f0 = 6.4 GHz\n", None),
+    # g^2 and detuning^2 overflow, their quotient does not: (1e-10)^2 kappa
+    ("g=1e150GHz,kappa=1,detuning=1e160GHz", 0, "", TWO_PI * 1e-14),
+], ids=["rate-overflows", "rate-underflows", "squares-overflow"])
+def test_main_computes_or_refuses_a_cavity_at_extreme_ratios(cavity, code, err, gamma,
+                                                             monkeypatch, capfd):
+    # a refusal, never a traceback
+    _stub_phonon_rates(monkeypatch)
+    assert main(["rates", "--format", "csv", "--cavity", cavity]) == code
+    out, got = capfd.readouterr()
+    assert got == err
+    if gamma is None:
+        assert out == ""
+    else:
+        row = out.splitlines()[-1].split(",")
+        assert row[0] == "cavity" and float(row[1]) == pytest.approx(gamma, rel=1e-12)
 
 
 # --- command output ---

@@ -10,7 +10,7 @@ from necoh.cli import CLI_SPEC, render_rates
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
 from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
-from necoh.photon import CavityParams, gamma_vacuum
+from necoh.photon import CavityParams, DispersiveLimitWarning, gamma_vacuum
 from necoh.report import (
     BareRates,
     ChannelRate,
@@ -113,6 +113,18 @@ def test_report_refuses_a_cavity_rate_that_is_zero(g, kappa, monkeypatch):
     cavity = CavityParams(g=g, kappa=kappa, detuning=100.0)
     with pytest.raises(ValueError, match="^cavity rate underflows at f0 = 6.4 GHz$"):
         build_report(6.4, cavity=cavity)
+
+
+def test_report_refuses_a_cavity_ratio_out_of_float_range_with_value_error(monkeypatch):
+    # g/|detuning| past the float range either way: a ValueError, as for every
+    # other refused input; phonon rates stubbed
+    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (1.0, 0.0))
+    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1.0, 0.0))
+    with pytest.warns(DispersiveLimitWarning), pytest.raises(
+            ValueError, match="^non-finite rate for channel cavity: inf$"):
+        build_report(6.4, cavity=CavityParams.from_mhz(5.0, 0.5, 1e-320))
+    with pytest.raises(ValueError, match="^cavity rate underflows at f0 = 6.4 GHz$"):
+        build_report(6.4, cavity=CavityParams.from_mhz(1e-297, 1.0, 1e300))
 
 
 def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
