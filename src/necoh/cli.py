@@ -22,18 +22,20 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .constants import mk_to_kelvin
 from .displacement import KernelMode, kernel_kinematics
 from .numerics import ConvergenceError, QuadratureSpec
 from .photon import CavityParams, DispersiveLimitWarning
 from .reference import DISPLACEMENT_TABLE, MODULATION_TABLE, PURCELL_T1_QUOTED
 from .report import (CHANNEL_CAVITY, CHANNEL_DISPLACEMENT, CHANNEL_MODULATION, PHONON_RATES,
-                     ChannelRate, CoherenceReport, build_report, sweep)
+                     ChannelRate, CoherenceReport, build_report, sweep, thermal_occupation)
 from .surface import LateralTrap
 
 ENV_OUTPUT_DIR = "NECOH_OUTPUT_DIR"
@@ -57,77 +59,73 @@ class UsageError(Exception):
     pass
 
 
-def _option(default, flag: str, help: str, commands: tuple[str, ...], choices=None):
+def _option(default, flag: str, help: str, commands: tuple[str, ...], choices=None,
+            bound=None):
     """A RunConfig field read as ``--<flag>`` by ``commands``: its default, help
-    text and, if the field takes a fixed set of values, its choices."""
+    text and, if the field takes a fixed set of values, its choices, or if
+    its values have a range, that range as ``(wording, predicate)``."""
     return field(default=default, metadata={"flag": flag, "help": help, "commands": commands,
-                                            "choices": choices})
+                                            "choices": choices, "bound": bound})
 
 
 @dataclass
 class RunConfig:
-    """Every option of every command, with its default. The declaration
-    order is the order of the checks in ``validate``."""
+    """Every option of every command, with its default. Within each kind of
+    check in ``validate`` the declaration order is the order of the checks."""
 
-    f0_ghz: float = _option(6.4, "f0-ghz", "trap frequency in GHz (default 6.4)", ("rates",))
+    f0_ghz: float = _option(6.4, "f0-ghz", "trap frequency in GHz (default 6.4)", ("rates",),
+                            bound=("positive", lambda v: v > 0.0))
     kernel: str = _option("approx", "kernel", "vertical kernel of the displacement channel "
                           "(default approx); the modulation channel (table 2) has none",
                           ("rates", "sweep", "reproduce"), tuple(m.value for m in KernelMode))
     format: str = _option("table", "format", "output format (default table)", ("rates", "sweep"),
                           ("table", "csv", "json"))
     temperature_mk: float = _option(10.0, "temperature-mk", "bath temperature in mK (default 10)",
-                                    ("rates", "sweep"))
+                                    ("rates", "sweep"), bound=(">= 0", lambda v: v >= 0.0))
     cavity: str | None = _option(None, "cavity",
                                  "cavity channel, e.g. g=5MHz,kappa=0.5MHz,detuning=500MHz",
                                  ("rates", "sweep"))
-    from_ghz: float = _option(1.0, "from", "grid start in GHz (default 1)", ("sweep",))
+    from_ghz: float = _option(1.0, "from", "grid start in GHz (default 1)", ("sweep",),
+                              bound=("positive", lambda v: v > 0.0))
     to_ghz: float = _option(10.0, "to", "grid end in GHz (default 10)", ("sweep",))
-    points: int = _option(10, "points", "number of grid points (default 10)", ("sweep",))
+    points: int = _option(10, "points", "number of grid points (default 10)", ("sweep",),
+                          bound=(">= 1", lambda v: v >= 1))
     output: str | None = _option(None, "output", "write to this file instead of stdout (relative "
                                  f"paths resolve under ${ENV_OUTPUT_DIR} if set)", ("sweep",))
     table: int = _option(1, "table", "1 = displacement lifetimes, 2 = modulation lifetimes",
                          ("reproduce",), tuple(_REFERENCE_TABLES))
-    tol: float = _option(0.03, "tol", "per-row relative tolerance (default 0.03)", ("reproduce",))
+    tol: float = _option(0.03, "tol", "per-row relative tolerance (default 0.03)", ("reproduce",),
+                         bound=("in (0, 1)", lambda v: 0.0 < v < 1.0))
 
     def validate(self, command: str) -> None:
         """Refuse a non-finite number in any float field, then a value outside
-        its choices or its domain in a field that ``command`` reads
-        (``--cavity`` is parsed where used)."""
+        its choices, then one outside its range, in a field that ``command``
+        reads (``--cavity`` is parsed where used)."""
         options = fields(self)
         for f in options:
             value = getattr(self, f.name)
             if _CONFIG_SCHEMA[f.name] is float and not math.isfinite(value):
                 raise UsageError(f"{f.metadata['flag']} must be finite: got {value!r}")
-        for f in options:
+        read = [f for f in options if command in f.metadata["commands"]]
+        for f in read:
             value, choices = getattr(self, f.name), f.metadata["choices"]
-            if choices and command in f.metadata["commands"] and value not in choices:
+            if choices and value not in choices:
                 raise UsageError(f"{f.metadata['flag']} must be one of "
                                  f"{', '.join(map(str, choices))}: got {value!r}")
-        if command == "reproduce":
-            if not 0.0 < self.tol < 1.0:
-                raise UsageError("tol must be in (0, 1)")
-            return
-        if self.temperature_mk < 0.0:
-            raise UsageError("temperature-mk must be >= 0")
-        if command == "rates":
-            if self.f0_ghz <= 0.0:
-                raise UsageError("f0-ghz must be positive")
-            frequencies = ["f0_ghz"]
-        else:
-            if self.points < 1:
-                raise UsageError("points must be >= 1")
-            if self.points > 1 and not self.from_ghz < self.to_ghz:
-                raise UsageError("sweep needs from < to")
-            if self.from_ghz <= 0.0:
-                raise UsageError("sweep frequencies must be positive")
-            # a one-point sweep runs at --from only
-            frequencies = ["from_ghz"] + (["to_ghz"] if self.points > 1 else [])
-        # the rates' own gate on the trap they get: refuse exactly what they refuse
-        for f in options:
-            if f.name in frequencies:
+        for f in read:
+            bound = f.metadata["bound"]
+            if bound and not bound[1](getattr(self, f.name)):
+                raise UsageError(f"{f.metadata['flag']} must be {bound[0]}")
+        if command == "sweep" and self.points > 1 and not self.from_ghz < self.to_ghz:
+            raise UsageError("sweep needs from < to")
+        # the rates' own gates on the trap they get, so the CLI refuses exactly
+        # what they refuse; a one-point sweep runs at --from only
+        for f in read:
+            if f.name in ("f0_ghz", "from_ghz") or (f.name == "to_ghz" and self.points > 1):
                 try:
-                    kernel_kinematics(LateralTrap.isotropic_ghz(getattr(self, f.name)),
-                                      KernelMode(self.kernel))
+                    trap = LateralTrap.isotropic_ghz(getattr(self, f.name))
+                    kernel_kinematics(trap, KernelMode(self.kernel))
+                    thermal_occupation(trap.omega_x, mk_to_kelvin(self.temperature_mk))
                 except ValueError as exc:
                     raise UsageError(f"{f.metadata['flag']}: {exc}") from exc
 
@@ -139,7 +137,8 @@ _CONFIG_SCHEMA = {f.name: {"float": float, "int": int}.get(f.type, str)
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value file; '#' comments; unknown keys are errors."""
+    """Flat key = value file; a '#' at the start of a line or after whitespace
+    starts a comment; unknown keys are errors."""
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -147,7 +146,7 @@ def parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

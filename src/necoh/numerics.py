@@ -127,7 +127,7 @@ def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi].
+    """Adaptive Gauss-Kronrod integration of ``f`` over [lo, hi], finite, lo < hi.
 
     The worst panel (largest error estimate) is bisected until the summed
     error meets ``spec`` relative to the integral of |f|, which is |value|
@@ -136,12 +136,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     equal error estimates the oldest is bisected first, so a run of ties
     refines breadth-first, left to right. Returns ``(value, error_estimate)``.
     """
-    if lo == hi:
-        return 0.0, 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi = hi, lo
-        sign = -1.0
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"integrate_adaptive needs finite lo < hi: got [{lo}, {hi}]")
     val, err, mag = _eval_panel(f, lo, hi)
     total_val, total_err, total_abs = val, err, mag
     # (err, lo, hi, val, mag), mag the panel's integral of |f|, in the order
@@ -167,10 +163,10 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
         raise ConvergenceError(
             f"adaptive quadrature did not reach tolerance on [{lo}, {hi}]: "
             f"error {total_err:.3e} on value {total_val:.6e}",
-            estimate=sign * total_val,
+            estimate=total_val,
             error_estimate=total_err,
         )
-    return sign * total_val, total_err
+    return total_val, total_err
 
 
 @functools.lru_cache(maxsize=128)

@@ -157,6 +157,17 @@ def test_main_rejects_nonpositive_frequency(capfd):
     capfd.readouterr()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["rates", "--f0-ghz", "-1", "--temperature-mk", "-4"], "f0-ghz must be positive"),
+    (["sweep", "--from", "-1", "--points", "0"], "from must be positive"),
+    (["sweep", "--from", "-1", "--to", "-2", "--points", "3"], "from must be positive"),
+], ids=["f0-before-temperature", "from-before-points", "from-before-from-to"])
+def test_main_names_the_first_declared_range_fault(argv, err, capfd):
+    # ranges are checked in declaration order, and sweep's from < to after them
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--temperature-mk", "nan", "temperature-mk"),
     ("--temperature-mk", "inf", "temperature-mk"),
@@ -217,12 +228,19 @@ def test_main_keeps_a_normal_bare_rate(capfd):
     ["rates", "--f0-ghz", "1e-320"],
     ["sweep", "--from", "1e-320", "--to", "1e-319", "--points", "2"],
 ])
-def test_main_refuses_a_non_finite_occupation(argv, capfd):
-    # hbar omega / k T underflows to zero at these trap frequencies
-    assert main(argv) == 1
+def test_main_refuses_a_non_finite_occupation(argv, monkeypatch, capfd):
+    # hbar omega / k T underflows to zero at these trap frequencies; that is
+    # known before any rate runs, and the refusal names the first flag
+    flag = argv[1].removeprefix("--")
+
+    def no_rate(*args, **kwargs):
+        raise AssertionError("a rate ran")
+
+    monkeypatch.setattr(report, "gamma_vacuum", no_rate)
+    assert main(argv) == 2
     out, err = capfd.readouterr()
     assert out == ""
-    assert err.startswith("error: thermal occupation is not finite at omega = ")
+    assert err.startswith(f"error: {flag}: thermal occupation is not finite at omega = ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
@@ -474,8 +492,17 @@ def _stub_phonon_rates(monkeypatch):
     (["reproduce", "--table", "1"], "f0_ghz = 100\n"),
     (["reproduce", "--table", "1"], "format = xml\ntemperature_mk = -4\n"),
     (["reproduce", "--table", "1"], "format = json\ntemperature_mk = 50\ncavity = junk\n"),
+    # a value outside its declared range, one key a command does not read per row
+    (["rates"], "from_ghz = 0\n"),
+    (["sweep", "--points", "2"], "f0_ghz = -1\n"),
+    (["sweep", "--points", "2"], "tol = 2\n"),
+    (["reproduce", "--table", "1"], "f0_ghz = -1\n"),
+    (["reproduce", "--table", "1"], "from_ghz = 0\n"),
+    (["reproduce", "--table", "1"], "points = 0\n"),
 ], ids=["rates-sweep-range", "rates-other-keys", "sweep-f0", "reproduce-f0",
-        "reproduce-other-keys", "reproduce-channel-keys"])
+        "reproduce-other-keys", "reproduce-channel-keys", "rates-from-range", "sweep-f0-range",
+        "sweep-tol-range", "reproduce-f0-range", "reproduce-from-range",
+        "reproduce-points-range"])
 def test_config_keys_a_command_does_not_read_are_not_checked(argv, config, tmp_path,
                                                              monkeypatch, capfd):
     _stub_phonon_rates(monkeypatch)
@@ -483,6 +510,57 @@ def test_config_keys_a_command_does_not_read_are_not_checked(argv, config, tmp_p
     path.write_text(config, encoding="utf-8")
     assert main(argv + ["--config", str(path)]) == 0
     assert capfd.readouterr().err == ""
+
+
+# every field with a declared range: a config line outside it and the refusal
+_OUT_OF_RANGE = {"f0_ghz": ("f0_ghz = -1\n", "f0-ghz must be positive"),
+                 "temperature_mk": ("temperature_mk = -4\n", "temperature-mk must be >= 0"),
+                 "from_ghz": ("from_ghz = 0\n", "from must be positive"),
+                 "points": ("points = 0\n", "points must be >= 1"),
+                 "tol": ("tol = 2\n", "tol must be in (0, 1)")}
+
+
+def test_exactly_these_fields_declare_a_range():
+    assert [f.name for f in fields(RunConfig) if f.metadata["bound"]] == list(_OUT_OF_RANGE)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("rates", "f0_ghz"), ("rates", "temperature_mk"), ("sweep", "temperature_mk"),
+    ("sweep", "from_ghz"), ("sweep", "points"), ("reproduce", "tol"),
+])
+def test_config_values_a_command_reads_are_range_checked(command, key, tmp_path, monkeypatch,
+                                                         capfd):
+    # the sibling of the test above: the rows there are the same values
+    # under commands that do not read them
+    _stub_phonon_rates(monkeypatch)
+    config, err = _OUT_OF_RANGE[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert capfd.readouterr() == ("", f"error: {err}\n")
+
+
+def test_a_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch, capfd):
+    # a comment starts at a '#' that opens a line or follows whitespace, so
+    # the config form and the flag form write the same file
+    _stub_phonon_rates(monkeypatch)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "run.cfg"
+    path.write_text("# second run\noutput = run#2.csv\n"
+                    "cavity = g=5,kappa=0.5,detuning=500 # quoted point\n", encoding="utf-8")
+    assert parse_config_file(str(path)) == {"output": "run#2.csv",
+                                            "cavity": "g=5,kappa=0.5,detuning=500"}
+    written = tmp_path / "run#2.csv"
+    argv = ["sweep", "--points", "2", "--format", "csv"]
+    outputs = []
+    for extra in (["--config", str(path)], ["--cavity", "g=5,kappa=0.5,detuning=500",
+                                            "--output", "run#2.csv"]):
+        assert main(argv + extra) == 0
+        assert capfd.readouterr() == (f"wrote {written}\n", "")
+        outputs.append(written.read_bytes())
+        written.unlink()
+    assert outputs[0] == outputs[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 # every float option: its config key and the flag a refusal names

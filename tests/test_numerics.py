@@ -7,6 +7,8 @@ code path with the folded weight product.
 
 import dataclasses
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +115,25 @@ def test_adaptive_handles_log_squared_endpoint():
     got, err = integrate_adaptive(lambda x: np.log(x) ** 2, 0.0, 1.0, DEFAULT_SPEC)
     assert abs(got - 2.0) <= 10.0 * err
     assert got == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                                    (1.0, 0.0), (0.5, 0.5)],
+                         ids=["nan", "inf", "minus-inf", "reversed", "empty"])
+def test_adaptive_refuses_bounds_it_cannot_use(lo, hi):
+    # refused before the integrand runs: no warning, and the bounds are named
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"integrate_adaptive needs finite lo < hi: got [{lo}, {hi}]")):
+            integrate_adaptive(f, lo, hi)
+    assert calls == []
 
 
 def test_convergence_error_carries_partial_state():
