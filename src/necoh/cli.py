@@ -141,9 +141,9 @@ def parse_config_file(path: str) -> dict:
     starts a comment; unknown keys are errors."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
@@ -360,14 +360,12 @@ def _report_options(cfg: RunConfig) -> dict:
             "kernel": KernelMode(cfg.kernel), "spec": CLI_SPEC}
 
 
-def cmd_rates(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    out.write(render_rates(build_report(cfg.f0_ghz, **_report_options(cfg)), cfg.format))
+def cmd_rates(cfg: RunConfig) -> int:
+    sys.stdout.write(render_rates(build_report(cfg.f0_ghz, **_report_options(cfg)), cfg.format))
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output is not None:
         if not cfg.output:
             raise UsageError("output must name a file: got ''")
@@ -397,19 +395,18 @@ def cmd_sweep(cfg: RunConfig, out=None) -> int:
     if cfg.output is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        out.write(f"wrote {path}\n")
+        sys.stdout.write(f"wrote {path}\n")
     else:
-        out.write(text)
+        sys.stdout.write(text)
     return 0
 
 
-def cmd_reproduce(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_reproduce(cfg: RunConfig) -> int:
     channel, table = _REFERENCE_TABLES[cfg.table]
     rate = PHONON_RATES[channel]
-    out.write(f"reference table {cfg.table} ({channel} channel), tolerance {cfg.tol:.1%}\n")
-    out.write(f"{'f0_ghz':>7} {'t1_computed_s':>16} {'t1_reference_s':>16} "
-              f"{'rel_err':>9} status\n")
+    sys.stdout.write(f"reference table {cfg.table} ({channel} channel), tolerance {cfg.tol:.1%}\n")
+    sys.stdout.write(f"{'f0_ghz':>7} {'t1_computed_s':>16} {'t1_reference_s':>16} "
+                     f"{'rel_err':>9} status\n")
     failures = 0
     for row in table:
         trap = LateralTrap.isotropic_ghz(row.f0_ghz)
@@ -417,9 +414,9 @@ def cmd_reproduce(cfg: RunConfig, out=None) -> int:
         rel = t1 / row.t1_s - 1.0
         ok = abs(rel) <= cfg.tol
         failures += 0 if ok else 1
-        out.write(f"{row.f0_ghz:>7.2f} {_fmt9(t1):>16} {_fmt9(row.t1_s):>16} "
-                  f"{rel:>+9.2%} {'PASS' if ok else 'FAIL'}\n")
-    out.write(f"{len(table) - failures}/{len(table)} rows within {cfg.tol:.1%}\n")
+        sys.stdout.write(f"{row.f0_ghz:>7.2f} {_fmt9(t1):>16} {_fmt9(row.t1_s):>16} "
+                         f"{rel:>+9.2%} {'PASS' if ok else 'FAIL'}\n")
+    sys.stdout.write(f"{len(table) - failures}/{len(table)} rows within {cfg.tol:.1%}\n")
     return 0 if failures == 0 else 1
 
 

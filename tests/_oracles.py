@@ -14,7 +14,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from necoh.constants import HBAR
+from necoh.constants import BOLTZMANN, ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, NEON, SPEED_OF_LIGHT
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -289,6 +289,35 @@ def oscillatory_batch_unfolded(env, b: float, n_tail_panels: int = 64):
     err = np.maximum(np.maximum(change, 1e-6 * np.abs(panels[..., -1])),
                      100.0 * eps * np.abs(value))
     return value, err, np.abs(y).sum(axis=-1)
+
+
+def rate_scales(f0_ghz: float) -> tuple[float, float, float, float]:
+    """(alpha, beta, displacement prefactor, modulation prefactor) in neon at f0, with the
+    image coupling, Bohr radius and Rydberg written out rather than read from ``BoundState``."""
+    w0 = 2e9 * math.pi * f0_ghz
+    c, rho, eps = NEON.sound_speed, NEON.density, NEON.epsilon
+    lam = ELEMENTARY_CHARGE ** 2 / 4.0 * (eps - 1.0) / (eps + 1.0)
+    r_b = HBAR ** 2 / (lam * ELECTRON_MASS)
+    rydberg = HBAR ** 2 / (2.0 * ELECTRON_MASS * r_b ** 2)
+    alpha = w0 / c * r_b
+    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
+    pref_displacement = (rydberg ** 2 * r_b ** 2 * w0 ** 6
+                         / (8.0 * math.pi * ELECTRON_MASS * rho * c ** 9))
+    pref_modulation = 8.0 * rydberg ** 2 * w0 ** 4 / (math.pi * ELECTRON_MASS * rho * c ** 7)
+    return alpha, beta, pref_displacement, pref_modulation
+
+
+def stimulated(f0_ghz: float, temperature_mk: float) -> float:
+    """1 + n = 1 / (1 - e^(-x)), x = hbar w0 / kT: no overflow at large x, exactly 1 at T = 0."""
+    kt = BOLTZMANN * 1e-3 * temperature_mk
+    return -1.0 / math.expm1(-2e9 * math.pi * f0_ghz * HBAR / kt) if kt > 0.0 else 1.0
+
+
+def vacuum_rate(f0_ghz: float) -> float:
+    """Vacuum rate, s^-1, as the dipole form 4 d^2 w^3 / (3 hbar c^3), d^2 = e^2 hbar/(2 m w)."""
+    w0 = 2e9 * math.pi * f0_ghz
+    d2 = ELEMENTARY_CHARGE ** 2 * HBAR / (2.0 * ELECTRON_MASS * w0)
+    return 4.0 * d2 * w0 ** 3 / (3.0 * HBAR * SPEED_OF_LIGHT ** 3)
 
 
 def vertical_ceiling_ghz(rydberg: float) -> float:

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -145,6 +144,22 @@ def test_main_refuses_an_output_folder_key(tmp_path, capfd):
     path.write_text(f"{key} = x\n", encoding="utf-8")
     assert main(["sweep", "--config", str(path)]) == 2
     assert capfd.readouterr().err == f"config: line 1: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("raw, code, err", [
+    ("\ufeffformat = json\n".encode("utf-8"), 0, ""),  # as older Windows editors write
+    ("# r\xe9glage\nformat = json\n".encode("latin-1"), 2,  # a Latin-1 e-acute
+     "config: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+     "invalid continuation byte\n"),
+], ids=["bom", "latin-1"])
+def test_config_file_encoding(raw, code, err, tmp_path, monkeypatch, capfd):
+    _stub_phonon_rates(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(raw)
+    assert main(["rates", "--config", str(path)]) == code
+    out, got = capfd.readouterr()
+    assert got == err.format(path=path)
+    assert out.startswith("{") == (code == 0)
 
 
 def test_main_rejects_inverted_sweep(capfd):
@@ -661,22 +676,19 @@ def test_main_computes_or_refuses_a_cavity_at_extreme_ratios(cavity, code, err, 
 
 # --- command output ---
 
-def test_rates_table_lists_channels():
-    buf = io.StringIO()
-    cfg = RunConfig(f0_ghz=2.0)
-    assert cmd_rates(cfg, out=buf) == 0
-    text = buf.getvalue()
+def test_rates_table_lists_channels(capsys):
+    assert cmd_rates(RunConfig(f0_ghz=2.0)) == 0
+    text = capsys.readouterr().out
     for name in ("vacuum", "displacement", "modulation", "total"):
         assert name in text
     assert "silicon" in text and "sapphire" in text
     assert "cavity" not in text
 
 
-def test_rates_json_shape():
-    buf = io.StringIO()
+def test_rates_json_shape(capsys):
     cfg = RunConfig(f0_ghz=2.0, format="json", cavity="g=5,kappa=0.5,detuning=500")
-    assert cmd_rates(cfg, out=buf) == 0
-    obj = strict_json(buf.getvalue())
+    assert cmd_rates(cfg) == 0
+    obj = strict_json(capsys.readouterr().out)
     assert obj["f0_ghz"] == 2.0
     names = [ch["name"] for ch in obj["channels"]]
     assert names == ["vacuum", "displacement", "modulation", "cavity"]
@@ -715,14 +727,13 @@ def test_cavity_note_says_which_side_of_the_reference_lifetime(cavity, says, mon
 
 
 @pytest.mark.parametrize("f0", [1e-8, 1e-50])
-def test_rates_table_ratio_keeps_its_column(f0):
+def test_rates_table_ratio_keeps_its_column(f0, capsys):
     # from 1e4 up the ratio cell switches to an exponent form, which stays
     # clear of k_electron_per_m down to the lowest f0 the rates allow
     tables = {}
     for fmt in ("table", "json"):
-        buf = io.StringIO()
-        assert cmd_rates(RunConfig(f0_ghz=f0, format=fmt), out=buf) == 0
-        tables[fmt] = buf.getvalue()
+        assert cmd_rates(RunConfig(f0_ghz=f0, format=fmt)) == 0
+        tables[fmt] = capsys.readouterr().out
     rows = [line.split() for line in tables["table"].splitlines()
             if line.startswith(("silicon", "sapphire"))]
     want = {s["material"]: s["wavenumber_ratio"]
@@ -770,18 +781,14 @@ def test_reproduce_rejects_unknown_table(capfd):
     capfd.readouterr()
 
 
-def test_reproduce_exit_reflects_agreement():
-    buf = io.StringIO()
-    cfg = RunConfig(table=1, tol=0.05)
-    assert cmd_reproduce(cfg, out=buf) == 0
-    text = buf.getvalue()
+def test_reproduce_exit_reflects_agreement(capsys):
+    assert cmd_reproduce(RunConfig(table=1, tol=0.05)) == 0
+    text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
     assert "10/10" in text
 
-    buf = io.StringIO()
-    cfg = RunConfig(table=1, tol=1e-6)
-    assert cmd_reproduce(cfg, out=buf) == 1
-    assert "FAIL" in buf.getvalue()
+    assert cmd_reproduce(RunConfig(table=1, tol=1e-6)) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_exact_kernel_through_cli(capfd):

@@ -31,12 +31,10 @@ from unittest import mock
 import pytest
 
 import necoh.report
-from _oracles import displacement_integral, modulation_integral
+from _oracles import (displacement_integral, modulation_integral, rate_scales, stimulated,
+                      vacuum_rate)
 from necoh.cli import CLI_SPEC, ENV_OUTPUT_DIR, main
-from necoh.constants import (BOLTZMANN, ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, NEON,
-                             SPEED_OF_LIGHT)
 from necoh.displacement import KernelMode
-from necoh.surface import BoundState
 from test_cli import strict_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -120,23 +118,13 @@ _modulation_integral = functools.lru_cache(maxsize=None)(modulation_integral)
 
 
 def oracle_rates(f0_ghz: float, temperature_mk: float, exact: bool) -> dict[str, float]:
-    """Channel rates written out from their formulas, integrals from ``_oracles``."""
-    state = BoundState.for_material(NEON)
-    w0 = 2e9 * math.pi * f0_ghz
-    c = NEON.sound_speed
-    alpha = w0 / c * state.bohr_radius
-    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
-    kt = BOLTZMANN * 1e-3 * temperature_mk
-    # 1 + n = 1 / (1 - e^(-x)): no overflow at large x = hbar w0 / kT, 1 at T = 0
-    stim = -1.0 / math.expm1(-HBAR * w0 / kt) if kt > 0.0 else 1.0
-    disp = (state.rydberg ** 2 * state.bohr_radius ** 2 * w0 ** 6
-            / (8.0 * math.pi * ELECTRON_MASS * NEON.density * c ** 9))
-    mod = 8.0 * state.rydberg ** 2 * w0 ** 4 / (math.pi * ELECTRON_MASS * NEON.density * c ** 7)
+    """Channel rates from the ``_oracles`` routes alone."""
+    alpha, beta, pref_displacement, pref_modulation = rate_scales(f0_ghz)
+    stim = stimulated(f0_ghz, temperature_mk)
     return {
-        "vacuum": 2.0 * ELEMENTARY_CHARGE ** 2 * w0 ** 2 / (3.0 * ELECTRON_MASS
-                                                            * SPEED_OF_LIGHT ** 3),
-        "displacement": stim * disp * displacement_integral(alpha, beta, exact),
-        "modulation": stim * mod * _modulation_integral(alpha, beta),
+        "vacuum": vacuum_rate(f0_ghz),
+        "displacement": stim * pref_displacement * displacement_integral(alpha, beta, exact),
+        "modulation": stim * pref_modulation * _modulation_integral(alpha, beta),
     }
 
 

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,15 @@ def test_codata_values():
     assert constants.BOLTZMANN == 1.380649e-16
     # Coulomb charge carried over to statC
     assert constants.ELEMENTARY_CHARGE == pytest.approx(4.80320471257e-10, rel=1e-11)
+
+
+def test_oracles_take_only_the_constants_from_the_package():
+    # the oracles check the package, so they share its CODATA values but no formula
+    tree = ast.parse((Path(__file__).parent / "_oracles.py").read_text(encoding="utf-8"))
+    modules = {alias.name if isinstance(node, ast.Import) else node.module
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names}
+    assert {m for m in modules if m.split(".")[0] == "necoh"} == {"necoh.constants"}
 
 
 def test_two_pi_literal():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from _oracles import (displacement_integral, displacement_series, log_kernel_ceiling_ghz,
-                      up_average_direct, vertical_ceiling_ghz)
+                      rate_scales, up_average_direct, vertical_ceiling_ghz)
 from necoh.cli import CLI_SPEC
-from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
+from necoh.constants import NEON, SILICON
 from necoh.displacement import (
     KernelMode,
     gamma_displacement,
@@ -17,24 +17,6 @@ from necoh.displacement import (
 )
 from necoh.numerics import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
 from necoh.surface import BoundState, LateralTrap, phonon_kinematics
-
-
-@pytest.fixture(scope="module")
-def state():
-    return BoundState.for_material(NEON)
-
-
-def _rate_scales(f0_ghz: float) -> tuple[float, float, float]:
-    """alpha, beta and the rate prefactor of ``gamma_displacement`` at f0."""
-    state = BoundState.for_material(NEON)
-    w0 = 2e9 * math.pi * f0_ghz
-    c = NEON.sound_speed
-    r_b = state.bohr_radius
-    alpha = w0 / c * r_b
-    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
-    pref = (state.rydberg ** 2 * r_b ** 2 * w0 ** 6
-            / (8.0 * math.pi * ELECTRON_MASS * NEON.density * c ** 9))
-    return alpha, beta, pref
 
 
 def test_u_p_average_small_eta_closed_form():
@@ -102,7 +84,7 @@ def test_rate_exact_kernel_same_scale():
 def test_rate_fixed_grid_cross_check():
     """Composite fixed-order Gauss-Legendre against the adaptive result."""
     trap = LateralTrap.isotropic_ghz(6.4)
-    alpha, beta, pref = _rate_scales(6.4)
+    alpha, beta, pref, _ = rate_scales(6.4)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     total = 0.0
     for lo, hi in ((0.0, 0.5), (0.5, 0.9), (0.9, 0.99), (0.99, 1.0 - 1e-12)):
@@ -119,7 +101,7 @@ def test_rate_fixed_grid_cross_check():
 
 @functools.lru_cache(maxsize=None)
 def _oracle_rate(f0_ghz: float, kernel: KernelMode) -> float:
-    alpha, beta, pref = _rate_scales(f0_ghz)
+    alpha, beta, pref, _ = rate_scales(f0_ghz)
     return pref * displacement_integral(alpha, beta, kernel is KernelMode.EXACT)
 
 
@@ -128,7 +110,7 @@ def test_log_kernel_rate_matches_its_series(f0):
     """The positive-term series of the log-kernel integral, a route with no
     quadrature, agrees with the quadrature oracle, and the library rate's
     error bar bounds its distance from it and meets the default spec."""
-    alpha, beta, pref = _rate_scales(f0)
+    alpha, beta, pref, _ = rate_scales(f0)
     series = displacement_series(alpha, beta)
     assert series == pytest.approx(displacement_integral(alpha, beta, False), rel=1e-13, abs=0.0)
     got, err = gamma_displacement(LateralTrap.isotropic_ghz(f0), spec=DEFAULT_SPEC)

@@ -13,18 +13,13 @@ import numpy as np
 import pytest
 
 from necoh.cli import CLI_SPEC
-from necoh.constants import ELECTRON_MASS, HBAR, NEON, SILICON
+from necoh.constants import SILICON
 from necoh.modulation import d_integral, gamma_modulation, substrate_suppression
 from necoh.numerics import ConvergenceError
 from necoh.surface import BoundState, LateralTrap
 
 from _oracles import (d_closed, f_kernel_quad, modulation_asymptote, modulation_integral,
-                      vertical_ceiling_ghz)
-
-
-@pytest.fixture(scope="module")
-def state():
-    return BoundState.for_material(NEON)
+                      rate_scales, vertical_ceiling_ghz)
 
 
 def test_d_integral_matches_closed_form():
@@ -62,22 +57,10 @@ def test_rate_operating_point():
     assert err / gam < 1e-5
 
 
-def _rate_scales(f0_ghz: float) -> tuple[float, float, float]:
-    """alpha, beta and the rate prefactor of ``gamma_modulation`` at f0."""
-    state = BoundState.for_material(NEON)
-    w0 = 2e9 * math.pi * f0_ghz
-    c = NEON.sound_speed
-    alpha = w0 / c * state.bohr_radius
-    beta = HBAR * w0 / (2.0 * ELECTRON_MASS * c * c)
-    pref = 8.0 * state.rydberg ** 2 * w0 ** 4 / (
-        math.pi * ELECTRON_MASS * NEON.density * c ** 7)
-    return alpha, beta, pref
-
-
 def test_rate_full_chain_cross_check():
     """Fixed Gauss-Legendre over direction, closed-form D inside."""
     trap = LateralTrap.isotropic_ghz(6.4)
-    alpha, beta, pref = _rate_scales(6.4)
+    alpha, beta, _, pref = rate_scales(6.4)
     nodes, weights = np.polynomial.legendre.leggauss(80)
     g = 0.5 * (nodes + 1.0)
     u2 = 1.0 - g * g
@@ -95,7 +78,7 @@ def test_rate_follows_its_low_frequency_law(f0):
     # rate over its prefactor meet the asymptote within its two dropped
     # terms, D's next one (3 pi/16) b^2 with b <= alpha, which moves D^2 by at
     # most (3 pi/2) alpha/L relative, and the beta^2 of e^(-beta u)
-    alpha, beta, pref = _rate_scales(f0)
+    alpha, beta, _, pref = rate_scales(f0)
     want = modulation_asymptote(alpha, beta)
     bound = 1.5 * math.pi * alpha / (math.log(2.0 / alpha) - 1.5) + beta * beta
     got, _ = gamma_modulation(LateralTrap.isotropic_ghz(f0))

@@ -3,21 +3,18 @@ import re
 
 import pytest
 
-from necoh.constants import ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT, TWO_PI
+from necoh.constants import TWO_PI
 from necoh.photon import CavityParams, DispersiveLimitWarning, gamma_purcell, gamma_vacuum
 from necoh.surface import LateralTrap
 
+from _oracles import vacuum_rate
+
 
 def test_vacuum_rate_closed_form():
-    # the dipole form 4 d^2 w^3 / (3 hbar c^3), with the transition dipole
-    # d = e a_x / sqrt(2) on the trap length, reduces to the closed form
-    # 2 e^2 w^2 / (3 m c^3) that the package evaluates
+    # the oracle's dipole form reduces to the closed form 2 e^2 w^2 / (3 m c^3)
     for f0 in (0.1, 6.4, 90.0):
-        trap = LateralTrap.isotropic_ghz(f0)
-        w0 = trap.omega_x
-        d = ELEMENTARY_CHARGE * trap.length_x / math.sqrt(2.0)
-        want = 4.0 * d ** 2 * w0 ** 3 / (3.0 * HBAR * SPEED_OF_LIGHT ** 3)
-        assert gamma_vacuum(trap) == pytest.approx(want, rel=1e-13)
+        want = vacuum_rate(f0)
+        assert gamma_vacuum(LateralTrap.isotropic_ghz(f0)) == pytest.approx(want, rel=1e-13)
 
 
 def test_vacuum_rate_overflows_to_inf():

@@ -21,7 +21,7 @@ from necoh.report import (
 )
 from necoh.surface import BoundState, LateralTrap
 
-from _oracles import vertical_ceiling_ghz
+from _oracles import stimulated, vertical_ceiling_ghz
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +310,7 @@ def test_phonon_t1_is_the_emission_lifetime():
     # the two agree to 5e-14, at 300 mK and 6.4 GHz (n ~ 0.56) by 36%
     rep = build_report(6.4, temperature_mk=300.0, spec=CLI_SPEC)
     trap = LateralTrap.isotropic_ghz(6.4)
-    n = 1.0 / (math.exp(HBAR * trap.omega_x / (BOLTZMANN * 0.3)) - 1.0)
+    n = stimulated(6.4, 300.0) - 1.0
     assert rep.occupation == pytest.approx(n, rel=1e-13)
     for name, rate in (("displacement", gamma_displacement), ("modulation", gamma_modulation)):
         bare, _ = rate(trap, spec=CLI_SPEC)

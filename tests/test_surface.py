@@ -13,11 +13,6 @@ from necoh.surface import BoundState, LateralTrap, image_coupling, phonon_kinema
 from _oracles import vertical_ceiling_ghz
 
 
-@pytest.fixture(scope="module")
-def state():
-    return BoundState.for_material(NEON)
-
-
 def test_image_coupling_value():
     lam = image_coupling(1.244)
     want = ELEMENTARY_CHARGE ** 2 / 4.0 * (0.244 / 2.244)
