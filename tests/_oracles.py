@@ -95,6 +95,21 @@ def up_average_direct(eta: float) -> float:
     return scipy.integrate.quad(f, 0.0, 80.0, limit=400, epsabs=0.0, epsrel=1e-13)[0]
 
 
+def up_average_series(eta: float) -> float:
+    """``up_average_direct`` as its Taylor series (1/2) sum_k x^k / (2k + 3) in
+    x = 1 - eta^2/4, valid for |x| < 1; ``math.fsum`` adds the terms until
+    |x|^k < 1e-18."""
+    x = (1.0 - 0.5 * eta) * (1.0 + 0.5 * eta)
+    if not abs(x) < 1.0:
+        raise ValueError(f"the series needs |1 - eta^2/4| < 1: got eta = {eta}")
+    terms, power, k = [], 1.0, 0
+    while abs(power) >= 1e-18:
+        terms.append(power / (2 * k + 3))
+        power *= x
+        k += 1
+    return 0.5 * math.fsum(terms)
+
+
 def displacement_integral(alpha: float, beta: float, exact: bool) -> float:
     """int_0^1 dg g^2 u^3 e^(-beta u) k^2 with u = 1 - g^2, eta = alpha sqrt(u).
 

@@ -118,34 +118,6 @@ def test_parse_cavity_rejects_incomplete_or_junk():
 
 # --- exit codes ---
 
-def test_main_requires_subcommand(capfd):
-    assert main([]) == 2
-    capfd.readouterr()
-
-
-def test_main_rejects_unknown_format(capfd):
-    assert main(["rates", "--format", "xml"]) == 2
-    capfd.readouterr()
-
-
-def test_main_reports_config_error_with_line(tmp_path, capfd):
-    path = tmp_path / "run.cfg"
-    path.write_text("f0_ghz = 3.2\nbogus = 1\n", encoding="utf-8")
-    assert main(["rates", "--config", str(path)]) == 2
-    err = capfd.readouterr().err
-    assert err.startswith("config: line 2:")
-
-
-def test_main_refuses_an_output_folder_key(tmp_path, capfd):
-    # the output folder comes from $NECOH_OUTPUT_DIR only; a config file
-    # cannot set it
-    key = "output" + "_dir"
-    path = tmp_path / "run.cfg"
-    path.write_text(f"{key} = x\n", encoding="utf-8")
-    assert main(["sweep", "--config", str(path)]) == 2
-    assert capfd.readouterr().err == f"config: line 1: unknown key {key!r}\n"
-
-
 @pytest.mark.parametrize("raw, code, err", [
     ("\ufeffformat = json\n".encode("utf-8"), 0, ""),  # as older Windows editors write
     ("# r\xe9glage\nformat = json\n".encode("latin-1"), 2,  # a Latin-1 e-acute
@@ -160,51 +132,6 @@ def test_config_file_encoding(raw, code, err, tmp_path, monkeypatch, capfd):
     out, got = capfd.readouterr()
     assert got == err.format(path=path)
     assert out.startswith("{") == (code == 0)
-
-
-def test_main_rejects_inverted_sweep(capfd):
-    assert main(["sweep", "--from", "5", "--to", "2", "--points", "3"]) == 2
-    assert "from < to" in capfd.readouterr().err
-
-
-def test_main_rejects_nonpositive_frequency(capfd):
-    assert main(["rates", "--f0-ghz", "-1"]) == 2
-    capfd.readouterr()
-
-
-@pytest.mark.parametrize("argv, err", [
-    (["rates", "--f0-ghz", "-1", "--temperature-mk", "-4"], "f0-ghz must be positive"),
-    (["sweep", "--from", "-1", "--points", "0"], "from must be positive"),
-    (["sweep", "--from", "-1", "--to", "-2", "--points", "3"], "from must be positive"),
-], ids=["f0-before-temperature", "from-before-points", "from-before-from-to"])
-def test_main_names_the_first_declared_range_fault(argv, err, capfd):
-    # ranges are checked in declaration order, and sweep's from < to after them
-    assert main(argv) == 2
-    assert capfd.readouterr() == ("", f"error: {err}\n")
-
-
-@pytest.mark.parametrize("flag, value, named", [
-    ("--temperature-mk", "nan", "temperature-mk"),
-    ("--temperature-mk", "inf", "temperature-mk"),
-    ("--f0-ghz", "nan", "f0-ghz"),
-    ("--f0-ghz", "inf", "f0-ghz"),
-    ("--cavity", "g=5,kappa=0.5,detuning=nan", "cavity detuning"),
-])
-def test_main_refuses_non_finite_input(flag, value, named, capfd):
-    assert main(["rates", f"{flag}={value}"]) == 2
-    err = capfd.readouterr().err
-    assert err.startswith("error: ") and f"{named} must be finite" in err
-
-
-@pytest.mark.parametrize("cavity, err", [
-    # 1e308 GHz is finite as typed and overflows on its way to rad/s
-    ("g=1e308GHz,kappa=0.5,detuning=500", "error: cavity g must be finite: got inf rad/s\n"),
-    ("g=-5,kappa=0.5,detuning=500",
-     "error: g and kappa must be non-negative: got g = -3.14159e+07 rad/s\n"),
-], ids=["overflows", "negative"])
-def test_main_names_the_refused_cavity_value(cavity, err, capfd):
-    assert main(["rates", "--cavity", cavity]) == 2
-    assert capfd.readouterr() == ("", err)
 
 
 def test_main_refuses_an_overflowing_rate(capfd):
@@ -237,26 +164,6 @@ def test_main_keeps_a_normal_bare_rate(capfd):
     assert main(["rates", "--f0-ghz", "1e-50", "--format", "csv"]) == 0
     rows = capfd.readouterr().out.splitlines()
     assert [r.split(",")[0] for r in rows] == ["channel", "vacuum", "displacement", "modulation"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["rates", "--f0-ghz", "1e-320"],
-    ["sweep", "--from", "1e-320", "--to", "1e-319", "--points", "2"],
-])
-def test_main_refuses_a_non_finite_occupation(argv, monkeypatch, capfd):
-    # hbar omega / k T underflows to zero at these trap frequencies; that is
-    # known before any rate runs, and the refusal names the first flag
-    flag = argv[1].removeprefix("--")
-
-    def no_rate(*args, **kwargs):
-        raise AssertionError("a rate ran")
-
-    monkeypatch.setattr(report, "gamma_vacuum", no_rate)
-    assert main(argv) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {flag}: thermal occupation is not finite at omega = ")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
@@ -304,67 +211,10 @@ def test_dispersive_limit_warning_is_one_line_per_main_call(argv, calls, monkeyp
     assert capfd.readouterr().err == calls * _DISPERSIVE_WARNING
 
 
-def test_main_refuses_log_kernel_past_its_limit(capfd):
-    assert main(["rates", "--f0-ghz", "100"]) == 2
-    err = capfd.readouterr().err
-    assert err.startswith("error: f0-ghz: logarithmic kernel requires q r_B < 1, "
-                          "f0 below 92.6 GHz: alpha = 1.08 at 100.000 GHz")
-    assert main(["sweep", "--from", "1", "--to", "95", "--points", "3"]) == 2
-    assert capfd.readouterr().err.startswith(
-        "error: to: logarithmic kernel requires q r_B < 1, f0 below 92.6 GHz")
-
-
 def test_exact_kernel_runs_past_the_log_kernel_limit(capfd):
     assert main(["rates", "--f0-ghz", "100", "--kernel", "exact", "--format", "csv"]) == 0
     rows = capfd.readouterr().out.splitlines()
     assert [r.split(",")[0] for r in rows] == ["channel", "vacuum", "displacement", "modulation"]
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["rates", "--kernel", "exact", "--f0-ghz", "3000"], "f0-ghz"),
-    (["rates", "--kernel", "exact", "--f0-ghz", "1e200"], "f0-ghz"),
-    (["sweep", "--kernel", "exact", "--from", "1000", "--to", "3000"], "to"),
-])
-def test_main_refuses_f0_at_the_vertical_spacing(argv, flag, capfd):
-    # at 3R/(4h) ~ 1823 GHz one lateral quantum excites the vertical motion,
-    # which no channel includes; 1e200 GHz would also overflow the rates
-    assert main(argv) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {flag}: f0 must be below 1823.2 GHz, the vertical 1 -> 2 "
-                          "spacing")
-    assert len(err.splitlines()) == 1
-
-
-def test_main_names_an_f0_whose_trap_frequency_overflows(capfd):
-    # 1e300 GHz passes the float parse, but 2 pi 1e309 rad/s is inf
-    assert main(["rates", "--kernel", "exact", "--f0-ghz", "1e300"]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == "error: f0-ghz: trap frequency must be positive and finite: got inf rad/s\n"
-
-
-# one ulp below 3R/(4h) as a float, but the rates' f0, recomputed from the
-# trap's angular frequency, rounds up onto it
-_ULP_BELOW_SPACING = "1823.2669684769592"
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["rates", "--kernel", "exact", "--f0-ghz", _ULP_BELOW_SPACING], "f0-ghz"),
-    (["sweep", "--kernel", "exact", "--from", "1823", "--to", _ULP_BELOW_SPACING,
-      "--points", "3"], "to"),
-])
-def test_main_refuses_f0_the_rates_refuse_before_any_rate_runs(argv, flag, monkeypatch, capfd):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a rate ran on an f0 the command should have refused")
-
-    monkeypatch.setattr(report, "gamma_displacement", unreachable)
-    monkeypatch.setattr(report, "gamma_modulation", unreachable)
-    assert main(argv) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == (f"error: {flag}: f0 must be below 1823.2 GHz, the vertical 1 -> 2 spacing "
-                   "3R/(4h), where the model holds: got 1823.27 GHz\n")
 
 
 @pytest.mark.parametrize("kernel", ["approx", "exact"])
@@ -399,78 +249,6 @@ def test_cli_refuses_exactly_the_f0_the_rates_refuse(kernel, ceiling, monkeypatc
         assert 0 < refused < grid.size  # the scan straddles its kernel's ceiling
     else:  # all past 92.6 GHz with the log kernel, all inside with the exact
         assert refused == (grid.size if kernel == "approx" else 0)
-
-
-@pytest.mark.parametrize("points", ["1000000000000", "100000000000000000000"])
-def test_main_refuses_a_grid_beyond_memory(points, capfd):
-    # numpy refuses both before allocating (7.3 TiB; past its index range);
-    # sizes from ~1e8 to 1e11 would allocate gigabytes for real
-    assert main(["sweep", "--points", points]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == f"error: points must fit in memory: got {points}\n"
-
-
-def test_main_refuses_a_missing_output_directory_before_computing(tmp_path, monkeypatch, capfd):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the sweep ran before its output path was checked")
-
-    monkeypatch.setattr(report, "gamma_modulation", unreachable)
-    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
-    assert main(["sweep", "--points", "2", "--output", "missing/grid.csv"]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == f"error: output directory does not exist: {tmp_path / 'missing'}\n"
-    assert list(tmp_path.iterdir()) == []
-    # an existing directory is no file to write either
-    assert main(["sweep", "--points", "2", "--output", "."]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == f"error: output path is a directory: {os.path.join(tmp_path, '.')}\n"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_main_refuses_an_output_file_it_cannot_open_before_computing(tmp_path, monkeypatch,
-                                                                     capfd):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the sweep ran before its output file was checked")
-
-    monkeypatch.setattr(report, "gamma_modulation", unreachable)
-    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
-    # longer than any file name the file system takes (255 bytes); an
-    # unwritable file or folder takes the same path, but not as root
-    name = "a" * 300 + ".csv"
-    assert main(["sweep", "--points", "2", "--output", name]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: cannot write output file {os.path.join(tmp_path, name)}: ")
-    assert len(err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command, key, err", [
-    ("rates", "cavity", "error: cavity spec missing detuning, g, kappa\n"),
-    ("sweep", "output", "error: output must name a file: got ''\n"),
-], ids=["cavity", "output"])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_main_refuses_an_empty_cavity_or_output_before_computing(command, key, err, source,
-                                                                tmp_path, monkeypatch, capfd):
-    # an empty value is a value, not an absent option: it must not fall back
-    # to no cavity channel, or to stdout
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a rate ran before the empty option was refused")
-
-    monkeypatch.setattr(report, "gamma_vacuum", unreachable)
-    monkeypatch.setenv("NECOH_OUTPUT_DIR", str(tmp_path))
-    if source == "flag":
-        argv = [command, f"--{key}="]
-    else:
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} =\n", encoding="utf-8")
-        argv = [command, "--config", str(path)]
-    assert main(argv) == 2
-    assert capfd.readouterr() == ("", err)
-    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if source == "config" else [])
 
 
 def test_failed_sweep_leaves_its_output_path_as_it_was(tmp_path, monkeypatch, capfd):
@@ -539,20 +317,182 @@ def test_exactly_these_fields_declare_a_range():
     assert [f.name for f in fields(RunConfig) if f.metadata["bound"]] == list(_OUT_OF_RANGE)
 
 
-@pytest.mark.parametrize("command, key", [
-    ("rates", "f0_ghz"), ("rates", "temperature_mk"), ("sweep", "temperature_mk"),
-    ("sweep", "from_ghz"), ("sweep", "points"), ("reproduce", "tol"),
-])
-def test_config_values_a_command_reads_are_range_checked(command, key, tmp_path, monkeypatch,
-                                                         capfd):
-    # the sibling of the test above: the rows there are the same values
-    # under commands that do not read them
-    _stub_phonon_rates(monkeypatch)
-    config, err = _OUT_OF_RANGE[key]
-    path = tmp_path / "run.cfg"
-    path.write_text(config, encoding="utf-8")
-    assert main([command, "--config", str(path)]) == 2
-    assert capfd.readouterr() == ("", f"error: {err}\n")
+# Every request README lists under "Refused before any rate runs", in the
+# order of its items: row id -> (argv, config text or None, stderr). "{tmp}"
+# stands for a scratch directory, which is also $NECOH_OUTPUT_DIR; "run.cfg"
+# in it holds the config text when there is one. A stderr that starts with
+# "..." pins its last line only, since argparse wraps the usage lines above
+# it to the terminal width; one that ends with "..." pins its one line up to
+# there, where the OS's strerror follows. A non-finite value in each float
+# key of a config file is checked in the same way by the test after it.
+_CONFIG = ["--config", "{tmp}/run.cfg"]
+_VERTICAL = ("f0 must be below 1823.2 GHz, the vertical 1 -> 2 spacing 3R/(4h), where the "
+             "model holds: got")
+_OCCUPATION = "thermal occupation is not finite at omega = 6.28312e-311 rad/s, T = 0.01 K"
+_LONG_NAME = "a" * 300 + ".csv"  # longer than any file name the file system takes (255 bytes)
+_REFUSALS: dict[str, tuple[list[str], str | None, str]] = {
+    "usage-no-command": ([], None, "...necoh: error: the following arguments are required: "
+                                   "command\n"),
+    # a config file may still carry these keys (see the test above)
+    **{f"usage-reproduce-{flag[2:]}": (
+        ["reproduce", "--table", "1", flag, value], None,
+        f"...necoh: error: unrecognized arguments: {flag} {value}\n")
+       for flag, value in [("--format", "json"), ("--temperature-mk", "-4"),
+                           ("--cavity", "junk")]},
+    "config-missing-file": (["rates", "--config", "{tmp}/missing.cfg"], None,
+                            "config: cannot read {tmp}/missing.cfg: ..."),
+    "config-unknown-key": (["rates", *_CONFIG], "f0_ghz = 3.2\nbogus = 1\n",
+                           "config: line 2: unknown key 'bogus'\n"),
+    "config-duplicate-key": (["sweep", *_CONFIG], "points = 4\npoints = 5\n",
+                             "config: line 2: duplicate key 'points'\n"),
+    "config-bad-value": (["rates", *_CONFIG], "f0_ghz = fast\n",
+                         "config: line 1: bad value for 'f0_ghz': 'fast'\n"),
+    # the output folder comes from $NECOH_OUTPUT_DIR only
+    "config-output-folder-key": (["sweep", *_CONFIG], "output" + "_dir = x\n",
+                                 "config: line 1: unknown key 'output" + "_dir'\n"),
+    **{f"non-finite-{flag}-{value}": (["rates", f"--{flag}={value}"], None,
+                                      f"error: {flag} must be finite: got {value}\n")
+       for flag in ("temperature-mk", "f0-ghz") for value in ("nan", "inf")},
+    "non-finite-cavity-detuning": (["rates", "--cavity", "g=5,kappa=0.5,detuning=nan"], None,
+                                   "error: cavity detuning must be finite: got nan rad/s\n"),
+    "choice-format": (["rates", "--format", "xml"], None,
+                      "...necoh rates: error: argument --format: invalid choice: 'xml' "
+                      "(choose from 'table', 'csv', 'json')\n"),
+    "choice-kernel": (["sweep", "--kernel", "fast"], None,
+                      "...necoh sweep: error: argument --kernel: invalid choice: 'fast' "
+                      "(choose from 'approx', 'exact')\n"),
+    "choice-table": (["reproduce", "--table", "3"], None,
+                     "...necoh reproduce: error: argument --table: invalid choice: 3 "
+                     "(choose from 1, 2)\n"),
+    "choice-table-config": (["reproduce", *_CONFIG], "table = 3\n",
+                            "error: table must be one of 1, 2: got 3\n"),
+    "range-f0-ghz": (["rates", "--f0-ghz", "-1"], None, "error: f0-ghz must be positive\n"),
+    # ranges are checked in declaration order, and sweep's from < to after them
+    "range-f0-before-temperature": (["rates", "--f0-ghz", "-1", "--temperature-mk", "-4"], None,
+                                    "error: f0-ghz must be positive\n"),
+    "range-from-before-points": (["sweep", "--from", "-1", "--points", "0"], None,
+                                 "error: from must be positive\n"),
+    "range-from-before-from-to": (["sweep", "--from", "-1", "--to", "-2", "--points", "3"], None,
+                                  "error: from must be positive\n"),
+    # the same values under commands that do not read them run (see the test above)
+    **{f"range-{command}-{key}": ([command, *_CONFIG], _OUT_OF_RANGE[key][0],
+                                  f"error: {_OUT_OF_RANGE[key][1]}\n")
+       for command, key in [("rates", "f0_ghz"), ("rates", "temperature_mk"),
+                            ("sweep", "temperature_mk"), ("sweep", "from_ghz"),
+                            ("sweep", "points"), ("reproduce", "tol")]},
+    "sweep-not-rising": (["sweep", "--from", "5", "--to", "2", "--points", "3"], None,
+                         "error: sweep needs from < to\n"),
+    "f0-log-kernel-rates": (["rates", "--f0-ghz", "100"], None,
+                            "error: f0-ghz: logarithmic kernel requires q r_B < 1, f0 below "
+                            "92.6 GHz: alpha = 1.08 at 100.000 GHz (use the exact kernel)\n"),
+    "f0-log-kernel-sweep": (["sweep", "--from", "1", "--to", "95", "--points", "3"], None,
+                            "error: to: logarithmic kernel requires q r_B < 1, f0 below "
+                            "92.6 GHz: alpha = 1.026 at 95.000 GHz (use the exact kernel)\n"),
+    # at 3R/(4h) ~ 1823 GHz one lateral quantum excites the vertical motion,
+    # which no channel includes; 1e200 GHz would also overflow the rates
+    "f0-vertical-rates": (["rates", "--kernel", "exact", "--f0-ghz", "3000"], None,
+                          f"error: f0-ghz: {_VERTICAL} 3000 GHz\n"),
+    "f0-vertical-rates-1e200": (["rates", "--kernel", "exact", "--f0-ghz", "1e200"], None,
+                                f"error: f0-ghz: {_VERTICAL} 1e+200 GHz\n"),
+    "f0-vertical-sweep": (["sweep", "--kernel", "exact", "--from", "1000", "--to", "3000"], None,
+                          f"error: to: {_VERTICAL} 3000 GHz\n"),
+    # one ulp below 3R/(4h) as a float, but the rates' f0, recomputed from
+    # the trap's angular frequency, rounds up onto it
+    "f0-ulp-below-rates": (["rates", "--kernel", "exact", "--f0-ghz", "1823.2669684769592"],
+                           None, f"error: f0-ghz: {_VERTICAL} 1823.27 GHz\n"),
+    "f0-ulp-below-sweep": (["sweep", "--kernel", "exact", "--from", "1823",
+                            "--to", "1823.2669684769592", "--points", "3"], None,
+                           f"error: to: {_VERTICAL} 1823.27 GHz\n"),
+    # 1e300 GHz passes the float parse, but 2 pi 1e309 rad/s is inf
+    "f0-trap-overflows": (["rates", "--kernel", "exact", "--f0-ghz", "1e300"], None,
+                          "error: f0-ghz: trap frequency must be positive and finite: "
+                          "got inf rad/s\n"),
+    # hbar omega / k T underflows to zero at these trap frequencies; the
+    # refusal names the first flag
+    "f0-occupation-rates": (["rates", "--f0-ghz", "1e-320"], None,
+                            f"error: f0-ghz: {_OCCUPATION}\n"),
+    "f0-occupation-sweep": (["sweep", "--from", "1e-320", "--to", "1e-319", "--points", "2"],
+                            None, f"error: from: {_OCCUPATION}\n"),
+    # 1e308 GHz is finite as typed and overflows on its way to rad/s
+    "cavity-overflows": (["rates", "--cavity", "g=1e308GHz,kappa=0.5,detuning=500"], None,
+                         "error: cavity g must be finite: got inf rad/s\n"),
+    "cavity-negative": (["rates", "--cavity", "g=-5,kappa=0.5,detuning=500"], None,
+                        "error: g and kappa must be non-negative: got g = -3.14159e+07 rad/s\n"),
+    "cavity-no-coupling": (["rates", "--cavity", "g=0,kappa=0.5,detuning=500"], None,
+                           "error: cavity g must be positive: got 0 (omit --cavity instead)\n"),
+    "cavity-no-loss": (["sweep", "--cavity", "g=5,kappa=0,detuning=500"], None,
+                       "error: cavity kappa must be positive: got 0 (omit --cavity instead)\n"),
+    # an empty value is a value, not an absent option: it must not fall back
+    # to no cavity channel, or to stdout
+    "empty-cavity-flag": (["rates", "--cavity="], None,
+                          "error: cavity spec missing detuning, g, kappa\n"),
+    "empty-cavity-config": (["rates", *_CONFIG], "cavity =\n",
+                            "error: cavity spec missing detuning, g, kappa\n"),
+    # numpy refuses both before allocating (7.3 TiB; past its index range);
+    # sizes from ~1e8 to 1e11 would allocate gigabytes for real
+    **{f"points-beyond-memory-{exponent}": (
+        ["sweep", "--points", points], None, f"error: points must fit in memory: got {points}\n")
+       for exponent, points in [("1e12", "1000000000000"), ("1e20", "100000000000000000000")]},
+    "output-missing-directory": (["sweep", "--points", "2", "--output", "missing/grid.csv"], None,
+                                 "error: output directory does not exist: {tmp}/missing\n"),
+    "output-is-directory": (["sweep", "--points", "2", "--output", "."], None,
+                            "error: output path is a directory: {tmp}/.\n"),
+    # an unwritable file or folder takes the same path, but not as root
+    "output-cannot-open": (["sweep", "--points", "2", "--output", _LONG_NAME], None,
+                           f"error: cannot write output file {{tmp}}/{_LONG_NAME}: ..."),
+    "empty-output-flag": (["sweep", "--output="], None, "error: output must name a file: got ''\n"),
+    "empty-output-config": (["sweep", *_CONFIG], "output =\n",
+                            "error: output must name a file: got ''\n"),
+}
+
+
+def _assert_refused(argv, config, want, tmp_path, monkeypatch, capfd):
+    """One refusal as `_REFUSALS` writes it: exit 2, no stdout, the stderr,
+    the scratch directory as it was, and no rate run."""
+    def no_rate(*args, **kwargs):
+        raise AssertionError("a rate ran")
+
+    for rate in ("gamma_vacuum", "gamma_displacement", "gamma_modulation", "gamma_purcell"):
+        monkeypatch.setattr(report, rate, no_rate)
+    tmp = str(tmp_path)
+    monkeypatch.setenv("NECOH_OUTPUT_DIR", tmp)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    assert main([a.replace("{tmp}", tmp) for a in argv]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    want = want.replace("{tmp}", tmp)
+    if want.startswith("..."):
+        assert err.splitlines(keepends=True)[-1] == want[3:]
+    elif want.endswith("..."):
+        assert err.startswith(want[:-3]) and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == want
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config is not None else [])
+
+
+@pytest.mark.parametrize("name", _REFUSALS)
+def test_cli_refuses_before_any_rate_runs(name, tmp_path, monkeypatch, capfd):
+    _assert_refused(*_REFUSALS[name], tmp_path, monkeypatch, capfd)
+
+
+# every float option: its config key and the flag a refusal names
+_FLOAT_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk", "from_ghz": "from",
+                "to_ghz": "to", "tol": "tol"}
+
+
+@pytest.mark.parametrize("command", ["rates", "sweep", "reproduce"])
+def test_config_refuses_a_non_finite_number_for_every_command(command, tmp_path, monkeypatch,
+                                                              capfd):
+    # in every float key, even one the command does not read, and before any
+    # choice check (format = xml is refused by rates and sweep)
+    assert _FLOAT_FLAGS.keys() == {f.name for f in fields(RunConfig) if f.type == "float"}
+    cases = [(f"{key} = {value}\n", flag, value)
+             for key, flag in _FLOAT_FLAGS.items() for value in ("nan", "inf", "-inf")]
+    cases.append(("f0_ghz = nan\nformat = xml\n", "f0-ghz", "nan"))
+    for config, flag, value in cases:
+        _assert_refused([command, *_CONFIG], config, f"error: {flag} must be finite: got {value}\n",
+                        tmp_path, monkeypatch, capfd)
 
 
 def test_a_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch, capfd):
@@ -578,26 +518,6 @@ def test_a_hash_inside_a_config_value_is_kept(tmp_path, monkeypatch, capfd):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
-# every float option: its config key and the flag a refusal names
-_FLOAT_FLAGS = {"f0_ghz": "f0-ghz", "temperature_mk": "temperature-mk", "from_ghz": "from",
-                "to_ghz": "to", "tol": "tol"}
-
-
-@pytest.mark.parametrize("command", ["rates", "sweep", "reproduce"])
-def test_config_refuses_a_non_finite_number_for_every_command(command, tmp_path, capfd):
-    # in every float key, even one the command does not read, and before any
-    # choice check (format = xml is refused by rates and sweep)
-    assert _FLOAT_FLAGS.keys() == {f.name for f in fields(RunConfig) if f.type == "float"}
-    path = tmp_path / "run.cfg"
-    cases = [(f"{key} = {value}\n", flag, value)
-             for key, flag in _FLOAT_FLAGS.items() for value in ("nan", "inf", "-inf")]
-    cases.append(("f0_ghz = nan\nformat = xml\n", "f0-ghz", "nan"))
-    for config, flag, value in cases:
-        path.write_text(config, encoding="utf-8")
-        assert main([command, "--config", str(path)]) == 2
-        assert capfd.readouterr() == ("", f"error: {flag} must be finite: got {value}\n")
-
-
 # the flags each command accepts, as its help screen lists them
 _COMMAND_FLAGS = {
     "rates": ["--help", "--config", "--kernel", "--format", "--temperature-mk", "--cavity",
@@ -614,18 +534,6 @@ def test_help_lists_exactly_the_flags_a_command_accepts(command, capfd):
     out, err = capfd.readouterr()
     assert err == ""
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == set(_COMMAND_FLAGS[command])
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--format", "json"), ("--temperature-mk", "-4"), ("--cavity", "junk")])
-def test_reproduce_refuses_the_channel_options_it_does_not_read(flag, value, monkeypatch,
-                                                                capfd):
-    # a config file may still carry these keys (see the test above)
-    _stub_phonon_rates(monkeypatch)
-    assert main(["reproduce", "--table", "1", flag, value]) == 2
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err.endswith(f"necoh: error: unrecognized arguments: {flag} {value}\n")
 
 
 @pytest.mark.parametrize("argv, f0", [(["rates"], "6.4"), (["sweep", "--points", "2"], "1")],
@@ -774,11 +682,6 @@ def test_sweep_csv_round_trips():
         assert parsed[f"gamma_{tag}"] == pytest.approx(ch.gamma, rel=1e-12)
         assert parsed[f"t1_{tag}"] == pytest.approx(ch.t1, rel=1e-12)
         assert parsed[f"t2_{tag}"] == pytest.approx(ch.t2, rel=1e-12)
-
-
-def test_reproduce_rejects_unknown_table(capfd):
-    assert main(["reproduce", "--table", "3"]) == 2
-    capfd.readouterr()
 
 
 def test_reproduce_exit_reflects_agreement(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import (displacement_integral, displacement_series, log_kernel_ceiling_ghz,
-                      rate_scales, up_average_direct, vertical_ceiling_ghz)
+                      rate_scales, up_average_direct, up_average_series, vertical_ceiling_ghz)
 from necoh.cli import CLI_SPEC
 from necoh.constants import NEON, SILICON
 from necoh.displacement import (
@@ -33,6 +33,15 @@ def test_u_p_average_small_eta_closed_form():
                                  2.0 - 1e-6, 2.0, 2.0 + 1e-6, 2.0 + 1e-4, 2.0 + 1e-2, 2.23])
 def test_u_p_average_matches_direct_quadrature(eta):
     assert u_p_average(float(eta)) == pytest.approx(up_average_direct(float(eta)), rel=1e-12)
+
+
+def test_u_p_average_just_outside_its_series_window():
+    # |x| = |1 - eta^2/4| from 1/4 to 1/2, just outside the series branch,
+    # where its 28-term series would be off by up to 2e-10
+    for eta in np.concatenate([np.linspace(1.42, 1.73, 27), np.linspace(2.24, 2.45, 27)]).tolist():
+        want = up_average_series(eta)
+        assert want == pytest.approx(up_average_direct(eta), rel=1e-12)
+        assert u_p_average(eta) == pytest.approx(want, rel=1e-13)
 
 
 def test_u_p_average_vectorized():

@@ -307,15 +307,17 @@ def test_report_refuses_f0_at_the_vertical_spacing():
 
 def test_phonon_t1_is_the_emission_lifetime():
     # T1 = 1/(gamma (1 + n)), not the two-level 1/(gamma (1 + 2n)); at 10 mK
-    # the two agree to 5e-14, at 300 mK and 6.4 GHz (n ~ 0.56) by 36%
+    # the two agree to 5e-14, at 300 mK and 6.4 GHz (n ~ 0.56) by 36%; the
+    # error bar scales by 1 + n as the rate does
     rep = build_report(6.4, temperature_mk=300.0, spec=CLI_SPEC)
     trap = LateralTrap.isotropic_ghz(6.4)
     n = stimulated(6.4, 300.0) - 1.0
     assert rep.occupation == pytest.approx(n, rel=1e-13)
     for name, rate in (("displacement", gamma_displacement), ("modulation", gamma_modulation)):
-        bare, _ = rate(trap, spec=CLI_SPEC)
+        bare, bare_err = rate(trap, spec=CLI_SPEC)
         ch = rep.channel(name)
         assert ch.gamma == pytest.approx((1.0 + n) * bare, rel=1e-13)
+        assert ch.error_estimate == pytest.approx((1.0 + n) * bare_err, rel=1e-13)
         assert ch.t1 == pytest.approx(1.0 / ((1.0 + n) * bare), rel=1e-13)
         assert (1.0 + 2.0 * n) * bare / ch.gamma == pytest.approx(1.36, abs=0.01)
 

@@ -10,7 +10,7 @@ from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
 from necoh.surface import BoundState, LateralTrap, image_coupling, phonon_kinematics
 
-from _oracles import vertical_ceiling_ghz
+from _oracles import rate_scales, vertical_ceiling_ghz
 
 
 def test_image_coupling_value():
@@ -60,12 +60,11 @@ def test_vertical_limit_is_the_one_to_two_spacing(state):
 
 def test_phonon_kinematics(state):
     trap = LateralTrap.isotropic_ghz(6.4)
-    w0 = TWO_PI * 6.4e9
-    c = NEON.sound_speed
     got, alpha, beta = phonon_kinematics(trap)
     assert got == state
-    assert alpha == pytest.approx(w0 / c * state.bohr_radius, rel=1e-14)
-    assert beta == pytest.approx(HBAR * w0 / (2.0 * ELECTRON_MASS * c * c), rel=1e-14)
+    want_alpha, want_beta, _, _ = rate_scales(6.4)
+    assert alpha == pytest.approx(want_alpha, rel=1e-14)
+    assert beta == pytest.approx(want_beta, rel=1e-14)
     custom = BoundState(lam=state.lam / 2.0)
     assert phonon_kinematics(trap, state=custom)[:2] == (custom, pytest.approx(2.0 * alpha))
     with pytest.raises(ValueError, match="silicon has no density set"):
@@ -76,7 +75,7 @@ def test_phonon_kinematics(state):
         trap = LateralTrap.isotropic_ghz(f0)
         beta = phonon_kinematics(trap)[2]
         for u in (0.1, 0.5, 1.0):
-            q_par = trap.omega_x / c * math.sqrt(u)
+            q_par = trap.omega_x / NEON.sound_speed * math.sqrt(u)
             assert beta * u == pytest.approx(q_par ** 2 * trap.length_x ** 2 / 2.0, rel=1e-14)
 
 
