@@ -144,7 +144,9 @@ def parse_config_file(path: str) -> dict:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        # the OS's reason alone, as for an output file, or where decoding failed
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .constants import BOLTZMANN, HBAR, ghz_to_rad_s, mk_to_kelvin
-from .displacement import KernelMode, gamma_displacement
+from .displacement import KernelMode, gamma_displacement, kernel_kinematics
 from .modulation import SubstrateDiagnostics, gamma_modulation, substrate_suppression
 from .numerics import DEFAULT_SPEC, QuadratureSpec
 from .photon import CavityParams, gamma_purcell, gamma_vacuum
@@ -180,11 +180,13 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
     A bare rate below the smallest normal float raises ValueError naming the
     channel and f0 (a vacuum or phonon rate at tiny f0, e.g. 1e-52 GHz; a
     cavity rate at g = 0, kappa = 0 or where (g/detuning)^2 kappa underflows), so no
-    channel reports an infinite T1. ``LateralTrap`` and ``phonon_kinematics``
-    refuse f0, ``thermal_occupation`` T before any rate runs, and
-    ``CoherenceReport`` a total that overflows."""
+    channel reports an infinite T1. ``LateralTrap`` and ``kernel_kinematics``
+    refuse f0, ``thermal_occupation`` T before any rate runs, the closed-form
+    vacuum and cavity rates are checked before the phonon quadratures, and
+    ``CoherenceReport`` refuses a total that overflows."""
     trap = LateralTrap.isotropic_ghz(f0_ghz)
-    thermal_occupation(trap.omega_x, mk_to_kelvin(temperature_mk))  # T refused before any rate
+    kernel_kinematics(trap, kernel)
+    thermal_occupation(trap.omega_x, mk_to_kelvin(temperature_mk))
 
     def positive(name: str, gamma: float, err: float = 0.0) -> ChannelRate:
         # positive at every f0 > 0 (the cavity's at g, kappa > 0), so a rate
@@ -194,11 +196,11 @@ def build_report(f0_ghz: float, temperature_mk: float = 10.0,
             raise ValueError(f"{name} rate underflows at f0 = {f0_ghz:g} GHz")
         return ChannelRate(name, gamma, err)
 
-    bare = [positive(CHANNEL_VACUUM, gamma_vacuum(trap))]
-    bare += [positive(name, *rate(trap, kernel, spec)) for name, rate in PHONON_RATES.items()]
-    if cavity is not None:
-        bare.append(positive(CHANNEL_CAVITY, gamma_purcell(cavity)))
-    return CoherenceReport(BareRates(f0_ghz, tuple(bare)), temperature_mk)
+    vacuum = positive(CHANNEL_VACUUM, gamma_vacuum(trap))
+    cavity_rate = () if cavity is None else (positive(CHANNEL_CAVITY, gamma_purcell(cavity)),)
+    phonon = tuple(positive(name, *rate(trap, kernel, spec))
+                   for name, rate in PHONON_RATES.items())
+    return CoherenceReport(BareRates(f0_ghz, (vacuum, *phonon, *cavity_rate)), temperature_mk)
 
 
 def sweep(f0_ghz_values, temperature_mk: float = 10.0,

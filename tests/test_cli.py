@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -322,9 +323,8 @@ def test_exactly_these_fields_declare_a_range():
 # stands for a scratch directory, which is also $NECOH_OUTPUT_DIR; "run.cfg"
 # in it holds the config text when there is one. A stderr that starts with
 # "..." pins its last line only, since argparse wraps the usage lines above
-# it to the terminal width; one that ends with "..." pins its one line up to
-# there, where the OS's strerror follows. A non-finite value in each float
-# key of a config file is checked in the same way by the test after it.
+# it to the terminal width. A non-finite value in each float key of a config
+# file is checked in the same way by the test after it.
 _CONFIG = ["--config", "{tmp}/run.cfg"]
 _VERTICAL = ("f0 must be below 1823.2 GHz, the vertical 1 -> 2 spacing 3R/(4h), where the "
              "model holds: got")
@@ -340,7 +340,8 @@ _REFUSALS: dict[str, tuple[list[str], str | None, str]] = {
        for flag, value in [("--format", "json"), ("--temperature-mk", "-4"),
                            ("--cavity", "junk")]},
     "config-missing-file": (["rates", "--config", "{tmp}/missing.cfg"], None,
-                            "config: cannot read {tmp}/missing.cfg: ..."),
+                            f"config: cannot read {{tmp}}/missing.cfg: "
+                            f"{os.strerror(errno.ENOENT)}\n"),
     "config-unknown-key": (["rates", *_CONFIG], "f0_ghz = 3.2\nbogus = 1\n",
                            "config: line 2: unknown key 'bogus'\n"),
     "config-duplicate-key": (["sweep", *_CONFIG], "points = 4\npoints = 5\n",
@@ -439,21 +440,23 @@ _REFUSALS: dict[str, tuple[list[str], str | None, str]] = {
                             "error: output path is a directory: {tmp}/.\n"),
     # an unwritable file or folder takes the same path, but not as root
     "output-cannot-open": (["sweep", "--points", "2", "--output", _LONG_NAME], None,
-                           f"error: cannot write output file {{tmp}}/{_LONG_NAME}: ..."),
+                           f"error: cannot write output file {{tmp}}/{_LONG_NAME}: "
+                           f"{os.strerror(errno.ENAMETOOLONG)}\n"),
     "empty-output-flag": (["sweep", "--output="], None, "error: output must name a file: got ''\n"),
     "empty-output-config": (["sweep", *_CONFIG], "output =\n",
                             "error: output must name a file: got ''\n"),
 }
 
 
+def _no_rate(*args, **kwargs):
+    raise AssertionError("a rate ran")
+
+
 def _assert_refused(argv, config, want, tmp_path, monkeypatch, capfd):
     """One refusal as `_REFUSALS` writes it: exit 2, no stdout, the stderr,
     the scratch directory as it was, and no rate run."""
-    def no_rate(*args, **kwargs):
-        raise AssertionError("a rate ran")
-
     for rate in ("gamma_vacuum", "gamma_displacement", "gamma_modulation", "gamma_purcell"):
-        monkeypatch.setattr(report, rate, no_rate)
+        monkeypatch.setattr(report, rate, _no_rate)
     tmp = str(tmp_path)
     monkeypatch.setenv("NECOH_OUTPUT_DIR", tmp)
     if config is not None:
@@ -464,8 +467,6 @@ def _assert_refused(argv, config, want, tmp_path, monkeypatch, capfd):
     want = want.replace("{tmp}", tmp)
     if want.startswith("..."):
         assert err.splitlines(keepends=True)[-1] == want[3:]
-    elif want.endswith("..."):
-        assert err.startswith(want[:-3]) and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == want
     assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if config is not None else [])
@@ -570,8 +571,12 @@ def test_main_refuses_a_cavity_whose_rate_is_zero(argv, f0, cavity, code, err, m
 ], ids=["rate-overflows", "rate-underflows", "squares-overflow"])
 def test_main_computes_or_refuses_a_cavity_at_extreme_ratios(cavity, code, err, gamma,
                                                              monkeypatch, capfd):
-    # a refusal, never a traceback
-    _stub_phonon_rates(monkeypatch)
+    # a refusal, never a traceback, and before any phonon rate runs
+    if gamma is None:
+        for rate in ("gamma_displacement", "gamma_modulation"):
+            monkeypatch.setattr(report, rate, _no_rate)
+    else:
+        _stub_phonon_rates(monkeypatch)
     assert main(["rates", "--format", "csv", "--cavity", cavity]) == code
     out, got = capfd.readouterr()
     assert got == err

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +9,7 @@ from necoh.cli import CLI_SPEC, render_rates
 from necoh.constants import BOLTZMANN, HBAR, mk_to_kelvin
 from necoh.displacement import KernelMode, gamma_displacement
 from necoh.modulation import gamma_modulation
-from necoh.photon import CavityParams, DispersiveLimitWarning, gamma_vacuum
+from necoh.photon import CavityParams, gamma_vacuum
 from necoh.report import (
     BareRates,
     ChannelRate,
@@ -19,9 +18,9 @@ from necoh.report import (
     sweep,
     thermal_occupation,
 )
-from necoh.surface import BoundState, LateralTrap
+from necoh.surface import LateralTrap
 
-from _oracles import stimulated, vertical_ceiling_ghz
+from _oracles import stimulated
 
 
 @pytest.fixture(scope="module")
@@ -58,32 +57,10 @@ def test_thermal_occupation_past_the_exponent_range():
     assert thermal_occupation(LateralTrap.isotropic_ghz(200.0).omega_x, t_k) == 0.0
 
 
-def test_thermal_occupation_validation():
-    with pytest.raises(ValueError, match=r"^temperature must be finite and >= 0: got -0\.1 K$"):
-        thermal_occupation(4e10, -0.1)
-    with pytest.raises(ValueError, match="^omega must be positive and finite: got 0 rad/s$"):
-        thermal_occupation(0.0, 0.01)
-
-
-@pytest.mark.parametrize("omega, temperature_k", [
-    (4e10, math.nan), (4e10, math.inf), (math.nan, 0.01), (math.inf, 0.01)])
-def test_thermal_occupation_rejects_non_finite(omega, temperature_k):
-    with pytest.raises(ValueError, match="finite"):
-        thermal_occupation(omega, temperature_k)
-
-
 def test_thermal_occupation_where_kt_underflows():
     # BOLTZMANN * 1e-313 K rounds to 0.0: the T -> 0 limit, not a division by it
     assert BOLTZMANN * 1e-313 == 0.0
     assert thermal_occupation(4e10, 1e-313) == 0.0
-
-
-# hbar omega / k T at 10 mK underflows to 0.0, or to a subnormal whose
-# reciprocal overflows
-@pytest.mark.parametrize("omega", [6.283e-311, 1.3e-301])
-def test_thermal_occupation_refuses_a_non_finite_occupation(omega):
-    with pytest.raises(ValueError, match=r"not finite at omega = .* rad/s, T = 0.01 K"):
-        thermal_occupation(omega, 0.01)
 
 
 def test_dephasing_rate_is_exactly_zero(report):
@@ -101,30 +78,6 @@ def test_channel_rate_zero_rate_never_decays():
     ch = ChannelRate("x", 0.0)
     assert ch.t1 == math.inf
     assert ch.t2 == math.inf
-
-
-@pytest.mark.parametrize("g, kappa", [(0.0, 1.0), (1.0, 0.0), (1e-170, 1.0)],
-                         ids=["no-coupling", "no-loss", "g-squared-underflows"])
-def test_report_refuses_a_cavity_rate_that_is_zero(g, kappa, monkeypatch):
-    # the cavity channel passes the same normal-float gate as the others,
-    # so no report carries an infinite T1; phonon rates stubbed
-    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (1.0, 0.0))
-    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1.0, 0.0))
-    cavity = CavityParams(g=g, kappa=kappa, detuning=100.0)
-    with pytest.raises(ValueError, match="^cavity rate underflows at f0 = 6.4 GHz$"):
-        build_report(6.4, cavity=cavity)
-
-
-def test_report_refuses_a_cavity_ratio_out_of_float_range_with_value_error(monkeypatch):
-    # g/|detuning| past the float range either way: a ValueError, as for every
-    # other refused input; phonon rates stubbed
-    monkeypatch.setattr(report_module, "gamma_displacement", lambda trap, **kw: (1.0, 0.0))
-    monkeypatch.setattr(report_module, "gamma_modulation", lambda trap, **kw: (1.0, 0.0))
-    with pytest.warns(DispersiveLimitWarning), pytest.raises(
-            ValueError, match="^non-finite rate for channel cavity: inf$"):
-        build_report(6.4, cavity=CavityParams.from_mhz(5.0, 0.5, 1e-320))
-    with pytest.raises(ValueError, match="^cavity rate underflows at f0 = 6.4 GHz$"):
-        build_report(6.4, cavity=CavityParams.from_mhz(1e-297, 1.0, 1e300))
 
 
 def test_report_refuses_channel_rates_whose_sum_overflows(monkeypatch):
@@ -184,37 +137,12 @@ def test_report_stores_a_negative_zero_temperature_as_zero(monkeypatch):
     assert '"temperature_mk": 0.0' in render_rates(moved, "json")
 
 
-@pytest.mark.parametrize("t_mk, got", [(-4.0, "-0.004"), (math.nan, "nan")], ids=["-4.0", "nan"])
-def test_report_refuses_a_temperature_built_directly(t_mk, got):
-    with pytest.raises(ValueError, match=f"^temperature must be finite and >= 0: got {got} K$"):
-        CoherenceReport(BareRates(6.4, (ChannelRate("vacuum", 0.01),)), t_mk)
-
-
 def test_report_refuses_bare_rates_whose_thermal_total_overflows():
     # each stimulated rate stays finite (n ~ 325 at 100 K and 6.4 GHz), their sum does not
     bare = BareRates(6.4, (ChannelRate("displacement", 4e305), ChannelRate("modulation", 4e305)))
     assert CoherenceReport(bare, 0.0).total.gamma == 8e305
     with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
         CoherenceReport(bare, 1e5)
-
-
-def test_channel_rate_rejects_negative():
-    with pytest.raises(ValueError, match=r"^negative rate for channel x: got -1\.0$"):
-        ChannelRate("x", -1.0)
-
-
-@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
-def test_channel_rate_rejects_non_finite(gamma):
-    with pytest.raises(ValueError, match="^non-finite rate for channel modulation: "):
-        ChannelRate("modulation", gamma)
-
-
-@pytest.mark.parametrize("err", [-5.0, -math.inf, math.inf, math.nan])
-def test_channel_rate_rejects_a_bad_error_estimate(err):
-    # a report's total sums the estimates, so one bad estimate would spoil it too
-    want = f"error estimate for channel cavity must be finite and >= 0: got {err!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        ChannelRate("cavity", 1.0, err)
 
 
 def test_channel_rate_takes_no_lifetimes():
@@ -290,19 +218,6 @@ def test_report_zero_temperature_matches_bare_rates():
 def test_report_substrate_rows(report):
     assert [r.material for r in report.substrates] == ["silicon", "sapphire"]
     assert all(r.suppressed for r in report.substrates)
-
-
-def test_report_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        build_report(0.0)
-    with pytest.raises(ValueError):
-        build_report(-1.0)
-
-
-def test_report_refuses_f0_at_the_vertical_spacing():
-    with pytest.raises(ValueError, match="vertical 1 -> 2 spacing"):
-        build_report(vertical_ceiling_ghz(BoundState.for_material().rydberg),
-                     kernel=KernelMode.EXACT)
 
 
 def test_phonon_t1_is_the_emission_lifetime():
