@@ -7,6 +7,8 @@ import pytest
 
 from necoh import constants
 
+from test_refusals import assert_refused  # runs one row of the library refusal table
+
 
 def test_codata_values():
     assert constants.SPEED_OF_LIGHT == 2.99792458e10
@@ -59,3 +61,13 @@ def test_substrates_carry_only_sound_speeds():
 def test_material_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         constants.NEON.epsilon = 2.0
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("sound_speed", math.nan), ("sound_speed", math.inf), ("sound_speed", -math.inf),
+    ("sound_speed", -1.133e5), ("sound_speed", 0.0),
+    ("density", math.nan), ("density", math.inf), ("density", -1.0), ("density", 0.0),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -math.inf),
+])
+def test_material_refuses_bad_fields(field, bad, monkeypatch):
+    assert_refused(f"material-{field}-{bad!r}", monkeypatch)

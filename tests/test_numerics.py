@@ -36,6 +36,7 @@ from necoh.surface import BoundState, LateralTrap
 
 from _oracles import (euler_average, h_closed, log_kernel_ceiling_ghz,
                       oscillatory_batch_unfolded)
+from test_refusals import assert_refused  # runs one row of the library refusal table
 
 _EPS = float(np.finfo(float).eps)
 
@@ -113,6 +114,11 @@ def test_adaptive_handles_log_squared_endpoint():
     got, err = integrate_adaptive(lambda x: np.log(x) ** 2, 0.0, 1.0, DEFAULT_SPEC)
     assert abs(got - 2.0) <= 10.0 * err
     assert got == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("bounds", ["nan", "inf", "minus-inf", "reversed", "empty"])
+def test_adaptive_refuses_bounds_it_cannot_use(bounds, monkeypatch):
+    assert_refused(f"adaptive-bounds-{bounds}", monkeypatch)
 
 
 def test_convergence_error_carries_partial_state():

@@ -7,6 +7,7 @@ from necoh.photon import CavityParams, DispersiveLimitWarning, gamma_purcell, ga
 from necoh.surface import LateralTrap
 
 from _oracles import vacuum_rate
+from test_refusals import assert_refused  # runs one row of the library refusal table
 
 
 def test_vacuum_rate_closed_form():
@@ -38,6 +39,12 @@ def test_cavity_from_mhz():
     assert cav.g == pytest.approx(TWO_PI * 5e6, rel=1e-15)
     assert cav.kappa == pytest.approx(TWO_PI * 0.5e6, rel=1e-15)
     assert cav.detuning == pytest.approx(TWO_PI * 500e6, rel=1e-15)
+
+
+@pytest.mark.parametrize("field", ["g", "kappa", "detuning"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cavity_rejects_non_finite(field, bad, monkeypatch):
+    assert_refused(f"cavity-{field}-{bad}", monkeypatch)
 
 
 def test_purcell_hand_value():

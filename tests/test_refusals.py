@@ -5,7 +5,8 @@ in the order of README's "The library refuses inputs with `ValueError` where
 they enter" paragraph: row id -> (call, exception, message, warning or None).
 A row checks that the call raises exactly that exception with exactly that
 message, gives no warning but its own, and runs no quadrature and no phonon
-rate: the fixture makes each of them raise AssertionError.
+rate: `assert_refused` makes each of them raise AssertionError. The refusal
+tests of other modules that kept their names run their rows through it.
 """
 import dataclasses
 import math
@@ -28,14 +29,6 @@ from _oracles import log_kernel_ceiling_ghz, vertical_ceiling_ghz
 
 def _ran(*args, **kwargs):
     raise AssertionError("a quadrature, an integrand or a phonon rate ran")
-
-
-@pytest.fixture(autouse=True)
-def _no_quadrature(monkeypatch):
-    for target in ("necoh.displacement.integrate_adaptive", "necoh.modulation.integrate_adaptive",
-                   "necoh.modulation.integrate_oscillatory_batch",
-                   "necoh.report.gamma_displacement", "necoh.report.gamma_modulation"):
-        monkeypatch.setattr(target, _ran)
 
 
 _NEON_STATE = BoundState.for_material()
@@ -198,8 +191,11 @@ _REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("row", _REFUSALS)
-def test_library_refuses_where_the_input_enters(row):
+def assert_refused(row, monkeypatch):
+    for target in ("necoh.displacement.integrate_adaptive", "necoh.modulation.integrate_adaptive",
+                   "necoh.modulation.integrate_oscillatory_batch",
+                   "necoh.report.gamma_displacement", "necoh.report.gamma_modulation"):
+        monkeypatch.setattr(target, _ran)
     call, exception, message, warning = _REFUSALS[row]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -208,3 +204,8 @@ def test_library_refuses_where_the_input_enters(row):
     assert type(info.value) is exception
     assert str(info.value) == message
     assert [w.category for w in caught] == ([] if warning is None else [warning])
+
+
+@pytest.mark.parametrize("row", _REFUSALS)
+def test_library_refuses_where_the_input_enters(row, monkeypatch):
+    assert_refused(row, monkeypatch)

@@ -21,6 +21,7 @@ from necoh.report import (
 from necoh.surface import LateralTrap
 
 from _oracles import stimulated
+from test_refusals import assert_refused  # runs one row of the library refusal table
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,24 @@ def test_thermal_occupation_where_kt_underflows():
     # BOLTZMANN * 1e-313 K rounds to 0.0: the T -> 0 limit, not a division by it
     assert BOLTZMANN * 1e-313 == 0.0
     assert thermal_occupation(4e10, 1e-313) == 0.0
+
+
+def test_thermal_occupation_validation(monkeypatch):
+    assert_refused("occupation-temperature--0.1", monkeypatch)
+    assert_refused("occupation-omega-0.0", monkeypatch)
+
+
+@pytest.mark.parametrize("omega, temperature_k", [
+    (4e10, math.nan), (4e10, math.inf), (math.nan, 0.01), (math.inf, 0.01)])
+def test_thermal_occupation_rejects_non_finite(omega, temperature_k, monkeypatch):
+    row = (f"occupation-temperature-{temperature_k!r}" if omega == 4e10
+           else f"occupation-omega-{omega!r}")
+    assert_refused(row, monkeypatch)
+
+
+@pytest.mark.parametrize("omega", [6.283e-311, 1.3e-301])
+def test_thermal_occupation_refuses_a_non_finite_occupation(omega, monkeypatch):
+    assert_refused(f"occupation-not-finite-{omega!r}", monkeypatch)
 
 
 def test_dephasing_rate_is_exactly_zero(report):
@@ -143,6 +162,20 @@ def test_report_refuses_bare_rates_whose_thermal_total_overflows():
     assert CoherenceReport(bare, 0.0).total.gamma == 8e305
     with pytest.raises(ValueError, match="^total rate is not finite at f0 = 6.4 GHz$"):
         CoherenceReport(bare, 1e5)
+
+
+def test_channel_rate_rejects_negative(monkeypatch):
+    assert_refused("channel-rate-negative", monkeypatch)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+def test_channel_rate_rejects_non_finite(gamma, monkeypatch):
+    assert_refused(f"channel-rate-{gamma!r}", monkeypatch)
+
+
+@pytest.mark.parametrize("err", [-5.0, -math.inf, math.inf, math.nan])
+def test_channel_rate_rejects_a_bad_error_estimate(err, monkeypatch):
+    assert_refused(f"channel-rate-error-{err!r}", monkeypatch)
 
 
 def test_channel_rate_takes_no_lifetimes():
